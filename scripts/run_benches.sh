@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the benchmark suite at a pinned small scale and collects every
-# measurement into one machine-readable file (BENCH_pr7.json at the repo
-# root): [{"op": ..., "ns_per_op": ..., "bytes_per_op": ...,
+# measurement into one machine-readable file ($BUILD_DIR/bench_results.json
+# by default, so a plain run never overwrites a committed BENCH_*.json): [{"op": ..., "ns_per_op": ..., "bytes_per_op": ...,
 # "allocs_per_op": ...}, ...]. Three sources feed it:
 #
 #   * plain bench binaries print one `BENCHJSON {...}` line per measurement,
@@ -23,13 +23,13 @@
 # runs this as a release-mode smoke check (benches build, run, agree with
 # the oracle, produce parseable numbers) with no timing assertions.
 #
-#   scripts/run_benches.sh               # writes ./BENCH_pr7.json
+#   scripts/run_benches.sh               # writes build/bench_results.json
 #   OUT=/tmp/b.json scripts/run_benches.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
-OUT="${OUT:-BENCH_pr7.json}"
+OUT="${OUT:-$BUILD_DIR/bench_results.json}"
 export EXPBSI_BENCH_USERS="${EXPBSI_BENCH_USERS:-20000}"
 
 BENCH="$BUILD_DIR/bench"

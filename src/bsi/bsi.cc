@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstring>
 
 #include "bsi/bsi_aggregate.h"
 #include "bsi/bsi_compare.h"
 #include "common/bit_util.h"
+#include "common/byte_io.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 
@@ -22,10 +22,6 @@ const RoaringBitmap& EmptyBitmap() {
 
 const RoaringBitmap& SliceOrEmpty(const Bsi& x, int i) {
   return i < x.num_slices() ? x.slice(i) : EmptyBitmap();
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 }  // namespace
@@ -483,43 +479,33 @@ std::string Bsi::SerializeToString() const {
 }
 
 Result<Bsi> Bsi::Deserialize(std::string_view bytes) {
-  size_t cursor = 0;
-  auto read_u32 = [&bytes, &cursor](uint32_t* v) {
-    if (bytes.size() - cursor < sizeof(uint32_t)) return false;
-    std::memcpy(v, bytes.data() + cursor, sizeof(uint32_t));
-    cursor += sizeof(uint32_t);
-    return true;
-  };
+  ByteReader r(bytes);
   uint32_t num_slices = 0;
-  if (!read_u32(&num_slices)) return Status::Corruption("bsi: truncated");
+  if (!r.ReadU32(&num_slices)) return Status::Corruption("bsi: truncated");
   if (num_slices > 64) return Status::Corruption("bsi: too many slices");
   // Each block carries a 4-byte length prefix; reject a slice count the
   // remaining bytes cannot hold before looping.
-  if ((bytes.size() - cursor) / sizeof(uint32_t) <
-      static_cast<size_t>(num_slices) + 1) {
+  if (r.remaining() / sizeof(uint32_t) < static_cast<size_t>(num_slices) + 1) {
     return Status::Corruption("bsi: slice count exceeds payload");
   }
   Bsi out;
   out.slices_.reserve(num_slices);
   for (uint32_t i = 0; i <= num_slices; ++i) {
     uint32_t len = 0;
-    if (!read_u32(&len)) return Status::Corruption("bsi: truncated block");
-    if (bytes.size() - cursor < len) {
+    std::string_view block;
+    if (!r.ReadU32(&len)) return Status::Corruption("bsi: truncated block");
+    if (!r.ReadBytes(len, &block)) {
       return Status::Corruption("bsi: truncated block body");
     }
-    Result<RoaringBitmap> bm =
-        RoaringBitmap::Deserialize(bytes.substr(cursor, len));
+    Result<RoaringBitmap> bm = RoaringBitmap::Deserialize(block);
     if (!bm.ok()) return bm.status();
-    cursor += len;
     if (i == 0) {
       out.existence_ = std::move(bm).value();
     } else {
       out.slices_.push_back(std::move(bm).value());
     }
   }
-  if (cursor != bytes.size()) {
-    return Status::Corruption("bsi: trailing bytes");
-  }
+  if (!r.empty()) return Status::Corruption("bsi: trailing bytes");
   return out;
 }
 

@@ -1,36 +1,14 @@
 #include "expdata/bsi_builder.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
+#include "common/byte_io.h"
 #include "common/check.h"
 #include "expdata/segmenter.h"
 
 namespace expbsi {
 namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadU32(std::string_view bytes, size_t* cursor, uint32_t* v) {
-  if (bytes.size() - *cursor < sizeof(uint32_t)) return false;
-  std::memcpy(v, bytes.data() + *cursor, sizeof(uint32_t));
-  *cursor += sizeof(uint32_t);
-  return true;
-}
-
-bool ReadU64(std::string_view bytes, size_t* cursor, uint64_t* v) {
-  if (bytes.size() - *cursor < sizeof(uint64_t)) return false;
-  std::memcpy(v, bytes.data() + *cursor, sizeof(uint64_t));
-  *cursor += sizeof(uint64_t);
-  return true;
-}
 
 void PutBsi(std::string* out, const Bsi& bsi) {
   std::string block = bsi.SerializeToString();
@@ -38,14 +16,13 @@ void PutBsi(std::string* out, const Bsi& bsi) {
   out->append(block);
 }
 
-Result<Bsi> ReadBsi(std::string_view bytes, size_t* cursor) {
+Result<Bsi> ReadBsi(ByteReader* r) {
   uint32_t len = 0;
-  if (!ReadU32(bytes, cursor, &len) || bytes.size() - *cursor < len) {
+  std::string_view block;
+  if (!r->ReadU32(&len) || !r->ReadBytes(len, &block)) {
     return Status::Corruption("bsi block truncated");
   }
-  Result<Bsi> bsi = Bsi::Deserialize(bytes.substr(*cursor, len));
-  if (bsi.ok()) *cursor += len;
-  return bsi;
+  return Bsi::Deserialize(block);
 }
 
 }  // namespace
@@ -78,22 +55,17 @@ void ExposeBsi::Serialize(std::string* out) const {
 
 Result<ExposeBsi> ExposeBsi::Deserialize(std::string_view bytes) {
   ExposeBsi out;
-  size_t cursor = 0;
-  uint32_t date = 0;
-  if (!ReadU64(bytes, &cursor, &out.strategy_id) ||
-      !ReadU32(bytes, &cursor, &date)) {
+  ByteReader r(bytes);
+  if (!r.ReadU64(&out.strategy_id) || !r.ReadU32(&out.min_expose_date)) {
     return Status::Corruption("expose bsi: truncated header");
   }
-  out.min_expose_date = date;
-  Result<Bsi> offset = ReadBsi(bytes, &cursor);
+  Result<Bsi> offset = ReadBsi(&r);
   if (!offset.ok()) return offset.status();
   out.offset = std::move(offset).value();
-  Result<Bsi> bucket = ReadBsi(bytes, &cursor);
+  Result<Bsi> bucket = ReadBsi(&r);
   if (!bucket.ok()) return bucket.status();
   out.bucket = std::move(bucket).value();
-  if (cursor != bytes.size()) {
-    return Status::Corruption("expose bsi: trailing bytes");
-  }
+  if (!r.empty()) return Status::Corruption("expose bsi: trailing bytes");
   return out;
 }
 
@@ -105,19 +77,14 @@ void MetricBsi::Serialize(std::string* out) const {
 
 Result<MetricBsi> MetricBsi::Deserialize(std::string_view bytes) {
   MetricBsi out;
-  size_t cursor = 0;
-  uint32_t date = 0;
-  if (!ReadU32(bytes, &cursor, &date) ||
-      !ReadU64(bytes, &cursor, &out.metric_id)) {
+  ByteReader r(bytes);
+  if (!r.ReadU32(&out.date) || !r.ReadU64(&out.metric_id)) {
     return Status::Corruption("metric bsi: truncated header");
   }
-  out.date = date;
-  Result<Bsi> value = ReadBsi(bytes, &cursor);
+  Result<Bsi> value = ReadBsi(&r);
   if (!value.ok()) return value.status();
   out.value = std::move(value).value();
-  if (cursor != bytes.size()) {
-    return Status::Corruption("metric bsi: trailing bytes");
-  }
+  if (!r.empty()) return Status::Corruption("metric bsi: trailing bytes");
   return out;
 }
 
@@ -129,19 +96,14 @@ void DimensionBsi::Serialize(std::string* out) const {
 
 Result<DimensionBsi> DimensionBsi::Deserialize(std::string_view bytes) {
   DimensionBsi out;
-  size_t cursor = 0;
-  uint32_t date = 0;
-  if (!ReadU32(bytes, &cursor, &date) ||
-      !ReadU32(bytes, &cursor, &out.dimension_id)) {
+  ByteReader r(bytes);
+  if (!r.ReadU32(&out.date) || !r.ReadU32(&out.dimension_id)) {
     return Status::Corruption("dimension bsi: truncated header");
   }
-  out.date = date;
-  Result<Bsi> value = ReadBsi(bytes, &cursor);
+  Result<Bsi> value = ReadBsi(&r);
   if (!value.ok()) return value.status();
   out.value = std::move(value).value();
-  if (cursor != bytes.size()) {
-    return Status::Corruption("dimension bsi: trailing bytes");
-  }
+  if (!r.empty()) return Status::Corruption("dimension bsi: trailing bytes");
   return out;
 }
 

@@ -11,6 +11,8 @@
 
 namespace expbsi {
 
+class ByteReader;  // common/byte_io.h
+
 // Physical layout of one Roaring container (the low-16-bit set of all values
 // that share a 16-bit key). Mirrors Chambi et al. (2016):
 //
@@ -135,9 +137,8 @@ class Container {
   // Appends [type:u8][count:u32][payload] to `out`.
   void Serialize(std::string* out) const;
 
-  // Parses a container produced by Serialize, advancing *cursor.
-  static Result<Container> Deserialize(const uint8_t** cursor,
-                                       const uint8_t* end);
+  // Parses a container produced by Serialize, advancing `reader` past it.
+  static Result<Container> Deserialize(ByteReader* reader);
 
   // Invokes fn(uint16_t) for every value in ascending order.
   template <typename Fn>

@@ -2,21 +2,14 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
+
+#include "common/byte_io.h"
 
 namespace expbsi {
 namespace {
 
 inline uint16_t HighBits(uint32_t v) { return static_cast<uint16_t>(v >> 16); }
 inline uint16_t LowBits(uint32_t v) { return static_cast<uint16_t>(v & 0xFFFF); }
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU16(std::string* out, uint16_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
 
 }  // namespace
 
@@ -448,43 +441,34 @@ std::string RoaringBitmap::SerializeToString() const {
 }
 
 Result<RoaringBitmap> RoaringBitmap::Deserialize(std::string_view bytes) {
-  const uint8_t* cursor = reinterpret_cast<const uint8_t*>(bytes.data());
-  const uint8_t* end = cursor + bytes.size();
-  if (end - cursor < static_cast<ptrdiff_t>(sizeof(uint32_t))) {
-    return Status::Corruption("roaring: truncated header");
-  }
+  ByteReader r(bytes);
   uint32_t n = 0;
-  std::memcpy(&n, cursor, sizeof(n));
-  cursor += sizeof(n);
+  if (!r.ReadU32(&n)) return Status::Corruption("roaring: truncated header");
   if (n > 65536) return Status::Corruption("roaring: too many containers");
   // A container needs at least 7 bytes (key + type + count), so a count
   // the remaining payload cannot hold is hostile; reject it before it
   // sizes an allocation.
   constexpr size_t kMinContainerBytes = 2 + 1 + 4;
-  if ((bytes.size() - sizeof(uint32_t)) / kMinContainerBytes < n) {
+  if (r.remaining() / kMinContainerBytes < n) {
     return Status::Corruption("roaring: container count exceeds payload");
   }
   RoaringBitmap bm;
   bm.entries_.reserve(n);
   uint32_t prev_key = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    if (end - cursor < static_cast<ptrdiff_t>(sizeof(uint16_t))) {
-      return Status::Corruption("roaring: truncated key");
-    }
     uint16_t key = 0;
-    std::memcpy(&key, cursor, sizeof(key));
-    cursor += sizeof(key);
+    if (!r.ReadU16(&key)) return Status::Corruption("roaring: truncated key");
     if (i > 0 && key <= prev_key) {
       return Status::Corruption("roaring: keys out of order");
     }
     prev_key = key;
-    Result<Container> c = Container::Deserialize(&cursor, end);
+    Result<Container> c = Container::Deserialize(&r);
     if (!c.ok()) return c.status();
     bm.entries_.push_back(Entry{key, std::move(c).value()});
   }
   // Exactly n containers and nothing else: trailing bytes mean the blob was
   // extended or the count shrunk -- either way, not what was serialized.
-  if (cursor != end) return Status::Corruption("roaring: trailing bytes");
+  if (!r.empty()) return Status::Corruption("roaring: trailing bytes");
   return bm;
 }
 

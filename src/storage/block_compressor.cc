@@ -1,9 +1,9 @@
 #include "storage/block_compressor.h"
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
+#include "common/byte_io.h"
 #include "common/check.h"
 
 namespace expbsi {
@@ -15,12 +15,6 @@ constexpr int kMaxOffset = 65535;
 // The last bytes of a block are always emitted as literals so the
 // decompressor's wild copies stay in bounds.
 constexpr size_t kTailLiterals = 12;
-
-inline uint32_t Load32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
 
 inline uint32_t HashWindow(uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
@@ -44,8 +38,7 @@ void EmitSequence(std::string* out, const char* literals, size_t num_literals,
   if (lit_token == 15) PutExtendedLength(out, num_literals - 15);
   out->append(literals, num_literals);
   if (match_len == 0) return;  // final literal-only sequence
-  out->push_back(static_cast<char>(offset & 0xFF));
-  out->push_back(static_cast<char>((offset >> 8) & 0xFF));
+  PutU16(out, static_cast<uint16_t>(offset));
   if (match_token == 15) PutExtendedLength(out, match_code - 15);
 }
 
@@ -65,14 +58,14 @@ std::string Lz4LikeCompress(std::string_view input) {
   size_t anchor = 0;  // start of pending literals
   size_t pos = 0;
   while (pos < match_limit) {
-    const uint32_t h = HashWindow(Load32(base + pos));
+    const uint32_t h = HashWindow(ReadU32(base + pos));
     const uint32_t candidate_plus_one = table[h];
     table[h] = static_cast<uint32_t>(pos) + 1;
     if (candidate_plus_one != 0) {
       const size_t candidate = candidate_plus_one - 1;
       const size_t offset = pos - candidate;
       if (offset <= kMaxOffset && offset > 0 &&
-          Load32(base + candidate) == Load32(base + pos)) {
+          ReadU32(base + candidate) == ReadU32(base + pos)) {
         // Extend the match forward.
         size_t match_len = kMinMatch;
         while (pos + match_len < match_limit &&
@@ -126,10 +119,7 @@ Result<std::string> Lz4LikeDecompress(std::string_view compressed,
     pos += lit_len;
     if (pos >= n) break;  // final sequence has no match part
     if (n - pos < 2) return Status::Corruption("lz4: truncated offset");
-    const size_t offset = static_cast<uint8_t>(compressed[pos]) |
-                          (static_cast<size_t>(
-                               static_cast<uint8_t>(compressed[pos + 1]))
-                           << 8);
+    const size_t offset = ReadU16(compressed.data() + pos);
     pos += 2;
     size_t match_len = (token & 0xF);
     if (match_len == 15 && !read_extended(&match_len)) {
@@ -156,18 +146,17 @@ Result<std::string> Lz4LikeDecompress(std::string_view compressed,
 
 std::string CompressBlock(std::string_view input) {
   std::string out;
-  const uint64_t size = input.size();
-  out.append(reinterpret_cast<const char*>(&size), sizeof(size));
+  PutU64(&out, input.size());
   out += Lz4LikeCompress(input);
   return out;
 }
 
 Result<std::string> DecompressBlock(std::string_view block) {
-  if (block.size() < sizeof(uint64_t)) {
+  ByteReader r(block);
+  uint64_t size = 0;
+  if (!r.ReadU64(&size)) {
     return Status::Corruption("block: truncated size header");
   }
-  uint64_t size = 0;
-  std::memcpy(&size, block.data(), sizeof(size));
   return Lz4LikeDecompress(block.substr(sizeof(size)),
                            static_cast<size_t>(size));
 }

@@ -1,9 +1,10 @@
 #include "storage/bsi_store.h"
 
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <memory>
 
+#include "common/byte_io.h"
 #include "common/fault_injector.h"
 #include "common/file_io.h"
 #include "common/hash.h"
@@ -23,14 +24,6 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-bool WriteBytes(std::FILE* f, const void* data, size_t n) {
-  return std::fwrite(data, 1, n, f) == n;
-}
-
-bool ReadBytes(std::FILE* f, void* data, size_t n) {
-  return std::fread(data, 1, n, f) == n;
-}
-
 }  // namespace
 
 uint64_t BlobFingerprint(std::string_view bytes) {
@@ -39,14 +32,12 @@ uint64_t BlobFingerprint(std::string_view bytes) {
   uint64_t h = Mix64(bytes.size() + 0x9e3779b97f4a7c15ull);
   size_t i = 0;
   for (; i + 8 <= bytes.size(); i += 8) {
-    uint64_t word = 0;
-    std::memcpy(&word, bytes.data() + i, 8);
-    h = Mix64(h ^ word);
+    h = Mix64(h ^ ReadU64(bytes.data() + i));
   }
   if (i < bytes.size()) {
-    uint64_t tail = 0;
-    std::memcpy(&tail, bytes.data() + i, bytes.size() - i);
-    h = Mix64(h ^ tail);
+    char tail[8] = {};
+    bytes.copy(tail, bytes.size() - i, i);
+    h = Mix64(h ^ ReadU64(tail));
   }
   return h;
 }
@@ -123,28 +114,23 @@ Result<uint64_t> BsiStore::Fingerprint(const BsiStoreKey& key) const {
 }
 
 Status BsiStore::SaveToFile(const std::string& path) const {
+  std::string out;
+  PutU32(&out, kStoreMagic);
+  PutU64(&out, blobs_.size());
+  for (const auto& [key, entry] : blobs_) {
+    PutU16(&out, key.segment);
+    PutU8(&out, static_cast<uint8_t>(key.kind));
+    PutU64(&out, key.id);
+    PutU32(&out, key.date);
+    PutString(&out, entry.bytes);
+  }
   FilePtr file(std::fopen(path.c_str(), "wb"));
   if (file == nullptr) {
     return Status::InvalidArgument("bsi store: cannot open " + path +
                                    " for writing");
   }
-  const uint64_t count = blobs_.size();
-  if (!WriteBytes(file.get(), &kStoreMagic, sizeof(kStoreMagic)) ||
-      !WriteBytes(file.get(), &count, sizeof(count))) {
-    return Status::Corruption("bsi store: short write of header");
-  }
-  for (const auto& [key, entry] : blobs_) {
-    const std::string& bytes = entry.bytes;
-    const uint8_t kind = static_cast<uint8_t>(key.kind);
-    const uint32_t len = static_cast<uint32_t>(bytes.size());
-    if (!WriteBytes(file.get(), &key.segment, sizeof(key.segment)) ||
-        !WriteBytes(file.get(), &kind, sizeof(kind)) ||
-        !WriteBytes(file.get(), &key.id, sizeof(key.id)) ||
-        !WriteBytes(file.get(), &key.date, sizeof(key.date)) ||
-        !WriteBytes(file.get(), &len, sizeof(len)) ||
-        !WriteBytes(file.get(), bytes.data(), bytes.size())) {
-      return Status::Corruption("bsi store: short write of blob");
-    }
+  if (std::fwrite(out.data(), 1, out.size(), file.get()) != out.size()) {
+    return Status::Corruption("bsi store: short write");
   }
   if (std::fflush(file.get()) != 0) {
     return Status::Corruption("bsi store: flush failed");
@@ -153,29 +139,22 @@ Status BsiStore::SaveToFile(const std::string& path) const {
 }
 
 Result<BsiStore> BsiStore::LoadFromFile(const std::string& path) {
-  Result<uint64_t> file_size = fileio::FileSizeOf(path);
-  if (!file_size.ok()) {
-    return Status::NotFound("bsi store: cannot open " + path);
-  }
-  FilePtr file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) {
-    return Status::NotFound("bsi store: cannot open " + path);
-  }
+  // The buffer is sized by the file itself, never by a header field.
+  Result<std::string> file =
+      fileio::ReadFileToString(path, std::numeric_limits<uint64_t>::max());
+  RETURN_IF_ERROR(file.status());
+  ByteReader r(file.value());
   uint32_t magic = 0;
   uint64_t count = 0;
-  if (!ReadBytes(file.get(), &magic, sizeof(magic)) ||
-      !ReadBytes(file.get(), &count, sizeof(count))) {
+  if (!r.ReadU32(&magic) || !r.ReadU64(&count)) {
     return Status::Corruption("bsi store: truncated header");
   }
   if (magic != kStoreMagic) {
     return Status::Corruption("bsi store: bad magic");
   }
-  // Every allocation below is bounded by what the file can actually hold:
-  // a hostile count / len header fails here instead of driving a huge
-  // resize.
+  // A hostile count fails here instead of driving a loop of bogus reads.
   constexpr uint64_t kRecordHeaderBytes = 2 + 1 + 8 + 4 + 4;
-  uint64_t remaining = file_size.value() - sizeof(magic) - sizeof(count);
-  if (count > remaining / kRecordHeaderBytes) {
+  if (count > r.remaining() / kRecordHeaderBytes) {
     return Status::Corruption("bsi store: blob count exceeds file size");
   }
   BsiStore store;
@@ -183,26 +162,19 @@ Result<BsiStore> BsiStore::LoadFromFile(const std::string& path) {
     BsiStoreKey key;
     uint8_t kind = 0;
     uint32_t len = 0;
-    if (!ReadBytes(file.get(), &key.segment, sizeof(key.segment)) ||
-        !ReadBytes(file.get(), &kind, sizeof(kind)) ||
-        !ReadBytes(file.get(), &key.id, sizeof(key.id)) ||
-        !ReadBytes(file.get(), &key.date, sizeof(key.date)) ||
-        !ReadBytes(file.get(), &len, sizeof(len))) {
+    std::string_view bytes;
+    if (!r.ReadU16(&key.segment) || !r.ReadU8(&kind) || !r.ReadU64(&key.id) ||
+        !r.ReadU32(&key.date) || !r.ReadU32(&len)) {
       return Status::Corruption("bsi store: truncated record header");
     }
-    remaining -= kRecordHeaderBytes;
     if (kind > 3) return Status::Corruption("bsi store: bad kind byte");
     key.kind = static_cast<BsiKind>(kind);
-    if (len > remaining) {
+    if (!r.ReadBytes(len, &bytes)) {
       return Status::Corruption("bsi store: blob length exceeds file size");
     }
-    std::string bytes(len, '\0');
-    if (!ReadBytes(file.get(), bytes.data(), len)) {
-      return Status::Corruption("bsi store: truncated blob body");
-    }
-    remaining -= len;
-    store.Put(key, std::move(bytes));
+    store.Put(key, std::string(bytes));
   }
+  if (!r.empty()) return Status::Corruption("bsi store: trailing bytes");
   return store;
 }
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <tuple>
 
+#include "common/byte_io.h"
 #include "common/crc32c.h"
 #include "common/fault_injector.h"
 #include "common/file_io.h"
@@ -15,42 +15,6 @@
 
 namespace expbsi {
 namespace {
-
-// ---- little-endian scalar append / cursor read ---------------------------
-
-template <typename T>
-void AppendScalar(std::string* out, T v) {
-  static_assert(std::is_integral_v<T>);
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-struct ByteReader {
-  const uint8_t* p;
-  const uint8_t* end;
-
-  explicit ByteReader(std::string_view bytes)
-      : p(reinterpret_cast<const uint8_t*>(bytes.data())),
-        end(p + bytes.size()) {}
-
-  size_t remaining() const { return static_cast<size_t>(end - p); }
-
-  template <typename T>
-  bool Read(T* out) {
-    static_assert(std::is_integral_v<T>);
-    if (remaining() < sizeof(T)) return false;
-    std::memcpy(out, p, sizeof(T));
-    p += sizeof(T);
-    return true;
-  }
-
-  bool Skip(size_t n) {
-    if (remaining() < n) return false;
-    p += n;
-    return true;
-  }
-};
 
 // ---- file-name parsing ---------------------------------------------------
 
@@ -141,9 +105,7 @@ Result<Manifest> ReadAndValidateManifest(const std::string& dir,
     return Status::Corruption(name + ": truncated manifest (" +
                               std::to_string(b.size()) + " bytes)");
   }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, b.data() + b.size() - sizeof(uint32_t),
-              sizeof(uint32_t));
+  const uint32_t stored_crc = ReadU32(b.data() + b.size() - sizeof(uint32_t));
   if (Crc32c(b.data(), b.size() - sizeof(uint32_t)) != stored_crc) {
     return Status::Corruption(name +
                               ": manifest checksum mismatch (torn write or "
@@ -152,10 +114,10 @@ Result<Manifest> ReadAndValidateManifest(const std::string& dir,
   ByteReader r(std::string_view(b).substr(0, b.size() - sizeof(uint32_t)));
   uint32_t magic = 0, format = 0, num_segments = 0;
   Manifest m;
-  r.Read(&magic);
-  r.Read(&format);
-  r.Read(&m.version);
-  r.Read(&num_segments);
+  r.ReadU32(&magic);
+  r.ReadU32(&format);
+  r.ReadU64(&m.version);
+  r.ReadU32(&num_segments);
   if (magic != kManifestFileMagic) {
     return Status::Corruption(name + ": bad manifest magic");
   }
@@ -174,16 +136,9 @@ Result<Manifest> ReadAndValidateManifest(const std::string& dir,
   uint32_t prev_segment = 0;
   for (uint32_t i = 0; i < num_segments; ++i) {
     ManifestEntry e;
-    uint32_t name_len = 0;
-    if (!r.Read(&e.segment) || !r.Read(&name_len)) {
-      return Status::Corruption(name + ": truncated segment entry");
-    }
-    if (name_len > r.remaining()) {
-      return Status::Corruption(name + ": segment name exceeds manifest");
-    }
-    e.file_name.assign(reinterpret_cast<const char*>(r.p), name_len);
-    r.Skip(name_len);
-    if (!r.Read(&e.file_size) || !r.Read(&e.blob_count)) {
+    if (!r.ReadU16(&e.segment) ||
+        !r.ReadString(&e.file_name, kMaxManifestBytes) ||
+        !r.ReadU64(&e.file_size) || !r.ReadU64(&e.blob_count)) {
       return Status::Corruption(name + ": truncated segment entry");
     }
     // The writer derives the name from (segment, version); enforcing that
@@ -202,7 +157,7 @@ Result<Manifest> ReadAndValidateManifest(const std::string& dir,
     }
     m.segments.push_back(std::move(e));
   }
-  if (r.remaining() != 0) {
+  if (!r.empty()) {
     return Status::Corruption(name + ": trailing garbage after entries");
   }
   return m;
@@ -233,8 +188,8 @@ Status DecodeSegmentFile(std::string_view bytes, const ManifestEntry& entry,
   uint32_t magic = 0, format = 0;
   uint16_t segment = 0;
   uint64_t file_version = 0, blob_count = 0;
-  if (!r.Read(&magic) || !r.Read(&format) || !r.Read(&segment) ||
-      !r.Read(&file_version) || !r.Read(&blob_count)) {
+  if (!r.ReadU32(&magic) || !r.ReadU32(&format) || !r.ReadU16(&segment) ||
+      !r.ReadU64(&file_version) || !r.ReadU64(&blob_count)) {
     return Status::Corruption(fname + ": truncated header");
   }
   if (magic != kSegmentFileMagic) {
@@ -260,26 +215,28 @@ Status DecodeSegmentFile(std::string_view bytes, const ManifestEntry& entry,
   }
   out->reserve(blob_count);
   for (uint64_t i = 0; i < blob_count; ++i) {
-    if (r.remaining() < kSnapshotRecordHeaderBytes + sizeof(uint32_t)) {
+    std::string_view header;
+    uint32_t header_crc = 0;
+    if (!r.ReadBytes(kSnapshotRecordHeaderBytes, &header) ||
+        !r.ReadU32(&header_crc)) {
       return Status::Corruption(fname + ": truncated record header");
     }
-    const uint8_t* const header_start = r.p;
-    DecodedRecord rec;
-    uint8_t kind = 0;
-    uint32_t len = 0, header_crc = 0;
-    r.Read(&rec.key.segment);
-    r.Read(&kind);
-    r.Read(&rec.key.id);
-    r.Read(&rec.key.date);
-    r.Read(&len);
-    r.Read(&rec.fingerprint);
-    r.Read(&header_crc);
     // The header CRC is verified before `len` is trusted, so a bitflipped
     // length can never drive a huge read or allocation.
-    if (Crc32c(header_start, kSnapshotRecordHeaderBytes) != header_crc) {
+    if (Crc32c(header) != header_crc) {
       return Status::Corruption(fname + ": record header checksum mismatch "
                                         "(bitflip)");
     }
+    DecodedRecord rec;
+    uint8_t kind = 0;
+    uint32_t len = 0;
+    ByteReader h(header);
+    h.ReadU16(&rec.key.segment);
+    h.ReadU8(&kind);
+    h.ReadU64(&rec.key.id);
+    h.ReadU32(&rec.key.date);
+    h.ReadU32(&len);
+    h.ReadU64(&rec.fingerprint);
     if (kind > 3) {
       return Status::Corruption(fname + ": bad kind byte");
     }
@@ -287,14 +244,10 @@ Status DecodeSegmentFile(std::string_view bytes, const ManifestEntry& entry,
     if (rec.key.segment != entry.segment) {
       return Status::Corruption(fname + ": record for foreign segment");
     }
-    if (len > r.remaining() || r.remaining() - len < sizeof(uint32_t)) {
+    uint32_t payload_crc = 0;
+    if (!r.ReadBytes(len, &rec.payload) || !r.ReadU32(&payload_crc)) {
       return Status::Corruption(fname + ": record length exceeds file");
     }
-    rec.payload =
-        std::string_view(reinterpret_cast<const char*>(r.p), len);
-    r.Skip(len);
-    uint32_t payload_crc = 0;
-    r.Read(&payload_crc);
     if (Crc32c(rec.payload) != payload_crc) {
       return Status::Corruption(fname + ": payload checksum mismatch "
                                         "(bitflip)");
@@ -304,7 +257,7 @@ Status DecodeSegmentFile(std::string_view bytes, const ManifestEntry& entry,
     }
     out->push_back(std::move(rec));
   }
-  if (r.remaining() != 0) {
+  if (!r.empty()) {
     return Status::Corruption(fname + ": trailing garbage after records");
   }
   return Status::OK();
@@ -321,23 +274,23 @@ std::string BuildSegmentFile(
              bytes->size();
   }
   out.reserve(total);
-  AppendScalar(&out, kSegmentFileMagic);
-  AppendScalar(&out, kSnapshotFormatVersion);
-  AppendScalar(&out, segment);
-  AppendScalar(&out, version);
-  AppendScalar(&out, static_cast<uint64_t>(records.size()));
+  PutU32(&out, kSegmentFileMagic);
+  PutU32(&out, kSnapshotFormatVersion);
+  PutU16(&out, segment);
+  PutU64(&out, version);
+  PutU64(&out, records.size());
   for (const auto& [key, bytes, fp] : records) {
     const size_t header_start = out.size();
-    AppendScalar(&out, key.segment);
-    AppendScalar(&out, static_cast<uint8_t>(key.kind));
-    AppendScalar(&out, key.id);
-    AppendScalar(&out, key.date);
-    AppendScalar(&out, static_cast<uint32_t>(bytes->size()));
-    AppendScalar(&out, fp);
-    AppendScalar(&out, Crc32c(out.data() + header_start,
-                              kSnapshotRecordHeaderBytes));
+    PutU16(&out, key.segment);
+    PutU8(&out, static_cast<uint8_t>(key.kind));
+    PutU64(&out, key.id);
+    PutU32(&out, key.date);
+    PutU32(&out, static_cast<uint32_t>(bytes->size()));
+    PutU64(&out, fp);
+    PutU32(&out, Crc32c(out.data() + header_start,
+                        kSnapshotRecordHeaderBytes));
     out += *bytes;
-    AppendScalar(&out, Crc32c(*bytes));
+    PutU32(&out, Crc32c(*bytes));
   }
   return out;
 }
@@ -425,10 +378,10 @@ Result<SnapshotWriteStats> SnapshotWriter::WriteImpl(const BsiStore& store,
   options.rename_fault_site = fault_sites::kSnapshotRename;
 
   std::string manifest;
-  AppendScalar(&manifest, kManifestFileMagic);
-  AppendScalar(&manifest, kSnapshotFormatVersion);
-  AppendScalar(&manifest, version);
-  AppendScalar(&manifest, static_cast<uint32_t>(by_segment.size()));
+  PutU32(&manifest, kManifestFileMagic);
+  PutU32(&manifest, kSnapshotFormatVersion);
+  PutU64(&manifest, version);
+  PutU32(&manifest, static_cast<uint32_t>(by_segment.size()));
   for (auto& [segment, records] : by_segment) {
     std::sort(records.begin(), records.end(),
               [](const RecordRef& a, const RecordRef& b) {
@@ -441,15 +394,14 @@ Result<SnapshotWriteStats> SnapshotWriter::WriteImpl(const BsiStore& store,
     const std::string name = SnapshotSegmentFileName(segment, version);
     RETURN_IF_ERROR(fileio::WriteFileAtomic(dir + "/" + name, bytes,
                                             options));
-    AppendScalar(&manifest, segment);
-    AppendScalar(&manifest, static_cast<uint32_t>(name.size()));
-    manifest += name;
-    AppendScalar(&manifest, static_cast<uint64_t>(bytes.size()));
-    AppendScalar(&manifest, static_cast<uint64_t>(records.size()));
+    PutU16(&manifest, segment);
+    PutString(&manifest, name);
+    PutU64(&manifest, bytes.size());
+    PutU64(&manifest, records.size());
     ++stats.segment_files;
     stats.bytes_written += bytes.size();
   }
-  AppendScalar(&manifest, Crc32c(manifest));
+  PutU32(&manifest, Crc32c(manifest));
   // The commit point: once this rename lands, version `version` is live.
   RETURN_IF_ERROR(fileio::WriteFileAtomic(
       dir + "/" + SnapshotManifestName(version), manifest, options));

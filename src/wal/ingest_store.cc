@@ -1,20 +1,13 @@
 #include "wal/ingest_store.h"
 
-#include <cstring>
-
 #include "cluster/adhoc_cluster.h"
+#include "common/byte_io.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace expbsi {
 namespace {
-
-// Host-endian scalar framing, like the snapshot writer's record headers.
-template <typename T>
-void AppendScalar(std::string* out, T v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
 
 // [format u32][checkpoint_seq u64][num_segments u32][num_buckets u32]
 // [bucket_equals_segment u8].
@@ -24,29 +17,26 @@ std::string EncodeMetaBlob(uint64_t checkpoint_sequence,
                            const IngestOptions& options) {
   std::string out;
   out.reserve(kMetaBlobBytes);
-  AppendScalar<uint32_t>(&out, kIngestMetaFormatVersion);
-  AppendScalar<uint64_t>(&out, checkpoint_sequence);
-  AppendScalar<uint32_t>(&out, static_cast<uint32_t>(options.num_segments));
-  AppendScalar<uint32_t>(&out, static_cast<uint32_t>(options.num_buckets));
-  AppendScalar<uint8_t>(&out, options.bucket_equals_segment ? 1 : 0);
+  PutU32(&out, kIngestMetaFormatVersion);
+  PutU64(&out, checkpoint_sequence);
+  PutU32(&out, static_cast<uint32_t>(options.num_segments));
+  PutU32(&out, static_cast<uint32_t>(options.num_buckets));
+  PutU8(&out, options.bucket_equals_segment ? 1 : 0);
   return out;
 }
 
 Status DecodeMetaBlob(const std::string& bytes, uint64_t* checkpoint_sequence,
                       const IngestOptions& options) {
-  if (bytes.size() != kMetaBlobBytes) {
-    return Status::Corruption("ingest: meta blob has wrong size");
-  }
+  ByteReader r(bytes);
   uint32_t format = 0;
   uint32_t num_segments = 0;
   uint32_t num_buckets = 0;
   uint8_t bucket_eq = 0;
-  const char* p = bytes.data();
-  std::memcpy(&format, p, 4);
-  std::memcpy(checkpoint_sequence, p + 4, 8);
-  std::memcpy(&num_segments, p + 12, 4);
-  std::memcpy(&num_buckets, p + 16, 4);
-  std::memcpy(&bucket_eq, p + 20, 1);
+  if (!r.ReadU32(&format) || !r.ReadU64(checkpoint_sequence) ||
+      !r.ReadU32(&num_segments) || !r.ReadU32(&num_buckets) ||
+      !r.ReadU8(&bucket_eq) || !r.empty()) {
+    return Status::Corruption("ingest: meta blob has wrong size");
+  }
   if (format != kIngestMetaFormatVersion) {
     return Status::Corruption("ingest: version-mismatch: meta format " +
                               std::to_string(format));

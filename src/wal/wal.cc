@@ -9,6 +9,7 @@
 #include <cstring>
 #include <thread>
 
+#include "common/byte_io.h"
 #include "common/check.h"
 #include "common/crc32c.h"
 #include "common/fault_injector.h"
@@ -23,38 +24,6 @@ namespace {
 
 constexpr char kWalFilePrefix[] = "wal-";
 constexpr char kWalFileSuffix[] = ".log";
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t ReadU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t ReadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
 
 std::string ErrnoText() { return std::strerror(errno); }
 
@@ -158,21 +127,27 @@ bool ScanSegment(const std::string& name, const std::string& bytes,
     report->errors.push_back(name + ": " + what);
     return false;
   };
-  if (bytes.size() < kWalSegmentHeaderBytes) {
+  ByteReader r(bytes);
+  std::string_view header;
+  uint32_t header_crc = 0;
+  if (!r.ReadBytes(kWalSegmentHeaderBytes - 4, &header) ||
+      !r.ReadU32(&header_crc)) {
     return tear("truncated segment header (" + std::to_string(bytes.size()) +
                 " bytes)");
   }
-  const uint32_t header_crc = ReadU32(bytes.data() + 16);
-  if (header_crc != Crc32c(bytes.data(), 16)) {
+  if (header_crc != Crc32c(header)) {
     return tear("segment header crc mismatch (torn or bitflipped header)");
   }
-  const uint32_t magic = ReadU32(bytes.data());
+  ByteReader h(header);
+  uint32_t magic = 0, format = 0;
+  uint64_t first_sequence = 0;
+  h.ReadU32(&magic);
+  h.ReadU32(&format);
+  h.ReadU64(&first_sequence);
   if (magic != kWalSegmentMagic) return tear("bad segment magic");
-  const uint32_t format = ReadU32(bytes.data() + 4);
   if (format != kWalFormatVersion) {
     return tear("version-mismatch: segment format " + std::to_string(format));
   }
-  const uint64_t first_sequence = ReadU64(bytes.data() + 8);
   *first_out = first_sequence;
   if (expected_first != 0 && first_sequence != expected_first) {
     return tear("sequence gap: segment starts at " +
@@ -187,24 +162,27 @@ bool ScanSegment(const std::string& name, const std::string& bytes,
         std::max(report->last_sequence, first_sequence - 1);
   }
   uint64_t next_seq = first_sequence;
-  size_t offset = kWalSegmentHeaderBytes;
-  while (offset < bytes.size()) {
-    const size_t remaining = bytes.size() - offset;
-    if (remaining < kWalRecordHeaderBytes) {
+  while (!r.empty()) {
+    const size_t offset = bytes.size() - r.remaining();
+    std::string_view record_header;
+    uint32_t want_hcrc = 0;
+    if (!r.ReadBytes(kWalRecordHeaderBytes - 4, &record_header) ||
+        !r.ReadU32(&want_hcrc)) {
       return tear("truncated record header at offset " +
                   std::to_string(offset));
     }
-    const char* h = bytes.data() + offset;
     // The header CRC is verified BEFORE any field of the header is trusted
     // (the length in a torn header must never size a read or allocation).
-    const uint32_t want_hcrc = ReadU32(h + 16);
-    if (want_hcrc != Crc32c(h, 16)) {
+    if (want_hcrc != Crc32c(record_header)) {
       return tear("record header crc mismatch at offset " +
                   std::to_string(offset) + " (torn or bitflipped)");
     }
-    const uint32_t len = ReadU32(h);
-    const uint64_t seq = ReadU64(h + 4);
-    const uint32_t count = ReadU32(h + 12);
+    ByteReader rh(record_header);
+    uint32_t len = 0, count = 0;
+    uint64_t seq = 0;
+    rh.ReadU32(&len);
+    rh.ReadU64(&seq);
+    rh.ReadU32(&count);
     if (count > kMaxWalEventsPerRecord) {
       return tear("oversized record: " + std::to_string(count) + " events");
     }
@@ -213,13 +191,13 @@ bool ScanSegment(const std::string& name, const std::string& bytes,
       return tear("record length mismatch at offset " +
                   std::to_string(offset));
     }
-    if (remaining < kWalRecordHeaderBytes + static_cast<size_t>(len) + 4) {
+    std::string_view payload;
+    uint32_t want_pcrc = 0;
+    if (!r.ReadBytes(len, &payload) || !r.ReadU32(&want_pcrc)) {
       return tear("truncated record payload at offset " +
                   std::to_string(offset));
     }
-    const char* payload = h + kWalRecordHeaderBytes;
-    const uint32_t want_pcrc = ReadU32(payload + len);
-    if (want_pcrc != Crc32c(payload, len)) {
+    if (want_pcrc != Crc32c(payload)) {
       return tear("record payload crc mismatch at offset " +
                   std::to_string(offset) + " (bitflipped record)");
     }
@@ -231,7 +209,7 @@ bool ScanSegment(const std::string& name, const std::string& bytes,
     record.sequence = seq;
     record.events.resize(count);
     for (uint32_t i = 0; i < count; ++i) {
-      if (!DecodeEvent(payload + static_cast<size_t>(i) * kWalEventBytes,
+      if (!DecodeEvent(payload.data() + size_t{i} * kWalEventBytes,
                        &record.events[i])) {
         return tear("bad event kind in record " + std::to_string(seq));
       }
@@ -241,8 +219,8 @@ bool ScanSegment(const std::string& name, const std::string& bytes,
     report->last_sequence = seq;
     records->push_back(std::move(record));
     ++next_seq;
-    offset += kWalRecordHeaderBytes + static_cast<size_t>(len) + 4;
-    report->bytes_replayed = offset;  // per segment; summed by the caller
+    // Per segment; summed by the caller.
+    report->bytes_replayed = bytes.size() - r.remaining();
   }
   return true;
 }

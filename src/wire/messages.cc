@@ -2,8 +2,8 @@
 
 #include <tuple>
 
+#include "common/byte_io.h"
 #include "obs/flight_recorder.h"
-#include "wire/byte_io.h"
 #include "wire/envelope.h"
 
 namespace expbsi {
@@ -11,53 +11,20 @@ namespace wire {
 
 namespace {
 
-// Shared helpers. Every vector is [count u32][elements]; ReadCount rejects
+// Shared helpers. Every vector is [count u32][elements]; ReadArray rejects
 // any count whose payload cannot fit in the remaining bytes, so resize() is
 // always bounded by the frame the transport already capped.
 
-bool ReadU64Vec(ByteReader* r, std::vector<uint64_t>* out) {
+template <typename T>
+bool ReadVec(ByteReader* r, std::vector<T>* out) {
   uint32_t n = 0;
-  if (!r->ReadCount(&n, 8)) return false;
-  out->resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!r->ReadU64(&(*out)[i])) return false;
-  }
-  return true;
+  return r->ReadU32(&n) && r->ReadArray(n, out);
 }
 
-void PutU64Vec(std::string* out, const std::vector<uint64_t>& v) {
+template <typename T>
+void PutVec(std::string* out, const std::vector<T>& v) {
   PutU32(out, static_cast<uint32_t>(v.size()));
-  for (uint64_t x : v) PutU64(out, x);
-}
-
-bool ReadU32Vec(ByteReader* r, std::vector<uint32_t>* out) {
-  uint32_t n = 0;
-  if (!r->ReadCount(&n, 4)) return false;
-  out->resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!r->ReadU32(&(*out)[i])) return false;
-  }
-  return true;
-}
-
-void PutU32Vec(std::string* out, const std::vector<uint32_t>& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  for (uint32_t x : v) PutU32(out, x);
-}
-
-bool ReadF64Vec(ByteReader* r, std::vector<double>* out) {
-  uint32_t n = 0;
-  if (!r->ReadCount(&n, 8)) return false;
-  out->resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!r->ReadF64(&(*out)[i])) return false;
-  }
-  return true;
-}
-
-void PutF64Vec(std::string* out, const std::vector<double>& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  for (double x : v) PutF64(out, x);
+  PutArray(out, v.data(), v.size());
 }
 
 // Bools are a single byte that must be exactly 0 or 1: any other value
@@ -72,11 +39,11 @@ bool ReadBool(ByteReader* r, bool* out) {
 }  // namespace
 
 void EncodeQueryRequest(const WireQueryRequest& req, std::string* out) {
-  PutU64Vec(out, req.strategy_ids);
-  PutU64Vec(out, req.metric_ids);
+  PutVec(out, req.strategy_ids);
+  PutVec(out, req.metric_ids);
   PutU32(out, req.date_lo);
   PutU32(out, req.date_hi);
-  PutU32Vec(out, req.segments);
+  PutVec(out, req.segments);
   PutU8(out, req.allow_degraded ? 1 : 0);
   PutU8(out, req.want_trace ? 1 : 0);
 }
@@ -84,9 +51,9 @@ void EncodeQueryRequest(const WireQueryRequest& req, std::string* out) {
 Result<WireQueryRequest> DecodeQueryRequest(std::string_view payload) {
   ByteReader r(payload);
   WireQueryRequest req;
-  if (!ReadU64Vec(&r, &req.strategy_ids) ||
-      !ReadU64Vec(&r, &req.metric_ids) || !r.ReadU32(&req.date_lo) ||
-      !r.ReadU32(&req.date_hi) || !ReadU32Vec(&r, &req.segments) ||
+  if (!ReadVec(&r, &req.strategy_ids) ||
+      !ReadVec(&r, &req.metric_ids) || !r.ReadU32(&req.date_lo) ||
+      !r.ReadU32(&req.date_hi) || !ReadVec(&r, &req.segments) ||
       !ReadBool(&r, &req.allow_degraded) || !ReadBool(&r, &req.want_trace) ||
       !r.empty()) {
     return Status::Corruption("wire request: malformed payload");
@@ -99,8 +66,8 @@ void EncodeQueryResponse(const WireQueryResponse& resp, std::string* out) {
   for (const WireSegmentResult& seg : resp.segments) {
     PutU32(out, seg.segment);
     PutU8(out, seg.lost);
-    PutF64Vec(out, seg.sums);
-    PutF64Vec(out, seg.counts);
+    PutVec(out, seg.sums);
+    PutVec(out, seg.counts);
   }
   PutU32(out, resp.retries);
   PutU32(out, resp.faults_survived);
@@ -133,7 +100,7 @@ Result<WireQueryResponse> DecodeQueryResponse(std::string_view payload) {
   resp.segments.resize(num_segments);
   for (WireSegmentResult& seg : resp.segments) {
     if (!r.ReadU32(&seg.segment) || !r.ReadU8(&seg.lost) || seg.lost > 1 ||
-        !ReadF64Vec(&r, &seg.sums) || !ReadF64Vec(&r, &seg.counts)) {
+        !ReadVec(&r, &seg.sums) || !ReadVec(&r, &seg.counts)) {
       return malformed;
     }
   }

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/byte_io.h"
 #include "common/rng.h"
 
 namespace expbsi {
@@ -163,12 +165,11 @@ TEST(ContainerTest, SerializeRoundTripAllTypes) {
   for (const Container& original : cases) {
     std::string bytes;
     original.Serialize(&bytes);
-    const uint8_t* cursor = reinterpret_cast<const uint8_t*>(bytes.data());
-    const uint8_t* end = cursor + bytes.size();
-    Result<Container> parsed = Container::Deserialize(&cursor, end);
+    ByteReader reader(bytes);
+    Result<Container> parsed = Container::Deserialize(&reader);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_TRUE(parsed.value().Equals(original));
-    EXPECT_EQ(cursor, end);
+    EXPECT_TRUE(reader.empty());
   }
 }
 
@@ -178,15 +179,13 @@ TEST(ContainerTest, DeserializeRejectsCorruption) {
   std::string bytes;
   c.Serialize(&bytes);
   // Truncated payload.
-  std::string truncated = bytes.substr(0, bytes.size() - 1);
-  const uint8_t* cursor = reinterpret_cast<const uint8_t*>(truncated.data());
-  EXPECT_FALSE(
-      Container::Deserialize(&cursor, cursor + truncated.size()).ok());
+  ByteReader truncated(std::string_view(bytes).substr(0, bytes.size() - 1));
+  EXPECT_FALSE(Container::Deserialize(&truncated).ok());
   // Bad type byte.
   std::string bad_type = bytes;
   bad_type[0] = 7;
-  cursor = reinterpret_cast<const uint8_t*>(bad_type.data());
-  EXPECT_FALSE(Container::Deserialize(&cursor, cursor + bad_type.size()).ok());
+  ByteReader bad_type_reader(bad_type);
+  EXPECT_FALSE(Container::Deserialize(&bad_type_reader).ok());
 }
 
 // ---------------------------------------------------------------------------

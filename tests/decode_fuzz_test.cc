@@ -1,8 +1,9 @@
 // Corrupt-bytes fuzz harness for every byte-decoding path in the codebase
 // (docs/TESTING.md "Decode fuzzing"): Container::Deserialize,
-// RoaringBitmap::Deserialize, Bsi::Deserialize, the snapshot reader, the
-// WAL segment replay path, and the serving protocol's wire codec
-// (envelope framing plus every payload decoder, DESIGN.md §9).
+// RoaringBitmap::Deserialize, Bsi::Deserialize, the ExposeBsi / MetricBsi /
+// DimensionBsi blob wrappers, PositionEncoder::Deserialize, the snapshot
+// reader, the WAL segment replay path, and the serving protocol's wire
+// codec (envelope framing plus every payload decoder, DESIGN.md §9).
 // Each iteration serializes a clean object, applies one seeded mutation
 // (truncation, 1-8 bitflips, a garbage window, pure garbage, or appended
 // bytes) and replays the decoder. The contract:
@@ -23,7 +24,8 @@
 //                             persistence job runs 2500 per path = 10k)
 //
 // Known-nasty blobs live in tests/corpus/malformed_blobs.txt and are
-// replayed before the random exploration.
+// replayed before the random exploration; tests/corpus/golden_blobs.txt
+// pins one valid encoding of every format byte for byte.
 
 #include <algorithm>
 #include <cstdint>
@@ -41,16 +43,19 @@
 #include <gtest/gtest.h>
 
 #include "bsi/bsi.h"
+#include "common/byte_io.h"
 #include "common/file_io.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "expdata/bsi_builder.h"
+#include "expdata/position_encoder.h"
 #include "obs/flight_recorder.h"
 #include "roaring/container.h"
 #include "roaring/roaring_bitmap.h"
+#include "storage/block_compressor.h"
 #include "storage/bsi_store.h"
 #include "storage/snapshot.h"
 #include "wal/wal.h"
-#include "wire/byte_io.h"
 #include "wire/envelope.h"
 #include "wire/messages.h"
 
@@ -240,17 +245,14 @@ void RunContainerIteration(uint64_t seed) {
   const std::string mutated = Mutate(rng, bytes, RandomMutation(rng));
   const std::string ctx = Ctx(seed, "container");
 
-  const uint8_t* cursor = reinterpret_cast<const uint8_t*>(mutated.data());
-  const uint8_t* end = cursor + mutated.size();
-  const Result<Container> parsed = Container::Deserialize(&cursor, end);
+  ByteReader reader(mutated);
+  const Result<Container> parsed = Container::Deserialize(&reader);
   if (!parsed.ok()) return;  // clean rejection
-  ASSERT_LE(cursor, end) << ctx << " cursor ran past the buffer";
   // Accepted: must round-trip to an equal object.
   std::string again;
   parsed.value().Serialize(&again);
-  const uint8_t* c2 = reinterpret_cast<const uint8_t*>(again.data());
-  const Result<Container> reparsed =
-      Container::Deserialize(&c2, c2 + again.size());
+  ByteReader again_reader(again);
+  const Result<Container> reparsed = Container::Deserialize(&again_reader);
   ASSERT_TRUE(reparsed.ok()) << ctx << " accepted bytes do not round-trip: "
                              << reparsed.status().ToString();
   EXPECT_TRUE(parsed.value().Equals(reparsed.value())) << ctx;
@@ -312,6 +314,93 @@ TEST(DecodeFuzzTest, RoaringDecodeSurvivesMutations) {
 TEST(DecodeFuzzTest, BsiDecodeSurvivesMutations) {
   for (uint64_t seed : FuzzSeedSchedule(0xB51F0221ull)) {
     RunBsiIteration(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Warehouse blobs: the ExposeBsi / MetricBsi / DimensionBsi wrappers every
+// segment query decodes, and the PositionEncoder blob an ingest snapshot
+// stores per segment. Same contract as the raw decoders above: whatever a
+// decoder accepts re-serializes to bytes that decode and re-serialize to
+// themselves.
+// ---------------------------------------------------------------------------
+
+ExposeBsi RandomExposeBsi(Rng& rng) {
+  ExposeBsi out;
+  out.strategy_id = rng.Next();
+  out.min_expose_date = static_cast<Date>(rng.NextBounded(20000));
+  out.offset = RandomBsi(rng);
+  out.bucket = RandomBsi(rng);
+  return out;
+}
+
+MetricBsi RandomMetricBsi(Rng& rng) {
+  MetricBsi out;
+  out.date = static_cast<Date>(rng.NextBounded(20000));
+  out.metric_id = rng.Next();
+  out.value = RandomBsi(rng);
+  return out;
+}
+
+DimensionBsi RandomDimensionBsi(Rng& rng) {
+  DimensionBsi out;
+  out.date = static_cast<Date>(rng.NextBounded(20000));
+  out.dimension_id = static_cast<uint32_t>(rng.Next());
+  out.value = RandomBsi(rng);
+  return out;
+}
+
+PositionEncoder RandomPositionEncoder(Rng& rng) {
+  PositionEncoder out;
+  for (uint64_t i = rng.NextBounded(300); i > 0; --i) out.Encode(rng.Next());
+  return out;
+}
+
+template <typename T>
+void RunBlobIteration(uint64_t seed, T (*make)(Rng&), const char* what) {
+  Rng rng(seed);
+  std::string bytes;
+  make(rng).Serialize(&bytes);
+  const std::string mutated = Mutate(rng, bytes, RandomMutation(rng));
+  const std::string ctx = Ctx(seed, what);
+
+  const Result<T> parsed = T::Deserialize(mutated);
+  if (!parsed.ok()) return;
+  std::string again;
+  parsed.value().Serialize(&again);
+  const Result<T> reparsed = T::Deserialize(again);
+  ASSERT_TRUE(reparsed.ok()) << ctx << " accepted bytes do not round-trip: "
+                             << reparsed.status().ToString();
+  std::string third;
+  reparsed.value().Serialize(&third);
+  EXPECT_EQ(again, third) << ctx;
+}
+
+TEST(DecodeFuzzTest, ExposeBsiDecodeSurvivesMutations) {
+  for (uint64_t seed : FuzzSeedSchedule(0xE7905EB5ull)) {
+    RunBlobIteration(seed, RandomExposeBsi, "expose bsi");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(DecodeFuzzTest, MetricBsiDecodeSurvivesMutations) {
+  for (uint64_t seed : FuzzSeedSchedule(0x3E7B1C51ull)) {
+    RunBlobIteration(seed, RandomMetricBsi, "metric bsi");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(DecodeFuzzTest, DimensionBsiDecodeSurvivesMutations) {
+  for (uint64_t seed : FuzzSeedSchedule(0xD13E5101ull)) {
+    RunBlobIteration(seed, RandomDimensionBsi, "dimension bsi");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(DecodeFuzzTest, PositionEncoderDecodeSurvivesMutations) {
+  for (uint64_t seed : FuzzSeedSchedule(0x905E7C0Dull)) {
+    RunBlobIteration(seed, RandomPositionEncoder, "position encoder");
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -1184,9 +1273,8 @@ TEST(DecodeFuzzTest, HostileCountsFailBeforeAllocation) {
   {
     // Container array claiming 70000 values (over the 65536 cap).
     const std::string bytes = Hex("00" "70110100");
-    const uint8_t* cursor = reinterpret_cast<const uint8_t*>(bytes.data());
-    const Result<Container> r =
-        Container::Deserialize(&cursor, cursor + bytes.size());
+    ByteReader reader(bytes);
+    const Result<Container> r = Container::Deserialize(&reader);
     ASSERT_FALSE(r.ok());
   }
   {
@@ -1205,13 +1293,13 @@ TEST(DecodeFuzzTest, HostileCountsFailBeforeAllocation) {
     // Wire response with valid empty segments and stats, then a span count
     // of 2^32-1: rejected against the remaining bytes before resize.
     std::string payload;
-    wire::PutU32(&payload, 0);  // segments
-    wire::PutU32(&payload, 0);  // retries
-    wire::PutU32(&payload, 0);  // faults_survived
-    wire::PutU64(&payload, 0);  // bytes_from_cold
-    wire::PutU64(&payload, 0);  // hot_hits
-    wire::PutF64(&payload, 0);  // cpu_seconds
-    wire::PutU32(&payload, 0xffffffffu);  // hostile span count
+    PutU32(&payload, 0);  // segments
+    PutU32(&payload, 0);  // retries
+    PutU32(&payload, 0);  // faults_survived
+    PutU64(&payload, 0);  // bytes_from_cold
+    PutU64(&payload, 0);  // hot_hits
+    PutF64(&payload, 0);  // cpu_seconds
+    PutU32(&payload, 0xffffffffu);  // hostile span count
     ASSERT_FALSE(wire::DecodeQueryResponse(payload).ok());
   }
   {
@@ -1224,8 +1312,9 @@ TEST(DecodeFuzzTest, HostileCountsFailBeforeAllocation) {
 // ---------------------------------------------------------------------------
 // Regression corpus: hand-crafted malformed blobs, every one of which must
 // be rejected cleanly. Lines: "<decoder> <hex>  # comment", decoder one of
-// container / roaring / bsi / storefile / envelope / queryrequest /
-// queryresponse / wireerror / segmentfetch / segmentpush.
+// container / roaring / bsi / exposebsi / metricbsi / dimensionbsi /
+// positionencoder / storefile / envelope / queryrequest / queryresponse /
+// wireerror / segmentfetch / segmentpush / statsfetch / statsreply.
 // ---------------------------------------------------------------------------
 
 TEST(DecodeFuzzTest, MalformedCorpusIsRejected) {
@@ -1245,13 +1334,20 @@ TEST(DecodeFuzzTest, MalformedCorpusIsRejected) {
     const std::string bytes = Hex(hex);
     const std::string ctx = "corpus entry " + decoder + " " + hex;
     if (decoder == "container") {
-      const uint8_t* cursor = reinterpret_cast<const uint8_t*>(bytes.data());
-      EXPECT_FALSE(Container::Deserialize(&cursor, cursor + bytes.size()).ok())
-          << ctx;
+      ByteReader reader(bytes);
+      EXPECT_FALSE(Container::Deserialize(&reader).ok()) << ctx;
     } else if (decoder == "roaring") {
       EXPECT_FALSE(RoaringBitmap::Deserialize(bytes).ok()) << ctx;
     } else if (decoder == "bsi") {
       EXPECT_FALSE(Bsi::Deserialize(bytes).ok()) << ctx;
+    } else if (decoder == "exposebsi") {
+      EXPECT_FALSE(ExposeBsi::Deserialize(bytes).ok()) << ctx;
+    } else if (decoder == "metricbsi") {
+      EXPECT_FALSE(MetricBsi::Deserialize(bytes).ok()) << ctx;
+    } else if (decoder == "dimensionbsi") {
+      EXPECT_FALSE(DimensionBsi::Deserialize(bytes).ok()) << ctx;
+    } else if (decoder == "positionencoder") {
+      EXPECT_FALSE(PositionEncoder::Deserialize(bytes).ok()) << ctx;
     } else if (decoder == "storefile") {
       const std::string path = FuzzDir("corpus") + "/corpus_store";
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -1279,6 +1375,285 @@ TEST(DecodeFuzzTest, MalformedCorpusIsRejected) {
     }
   }
   EXPECT_GE(entries, 10) << "malformed-blob corpus unexpectedly small";
+#else
+  GTEST_SKIP() << "corpus dir not configured";
+#endif
+}
+
+
+// ---------------------------------------------------------------------------
+// Golden corpus: fixed small encodings of every persisted and transmitted
+// format, captured before the codecs were folded into common/byte_io.h.
+// Each entry must decode and re-encode to exactly its bytes, which pins the
+// formats themselves: a codec change that moves a single byte fails here
+// even when the encoder and decoder still agree with each other.
+// ---------------------------------------------------------------------------
+
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+// Serializes a decoded object, or forwards the decode failure.
+template <typename T>
+Result<std::string> Reserialize(const Result<T>& decoded) {
+  RETURN_IF_ERROR(decoded.status());
+  std::string out;
+  decoded.value().Serialize(&out);
+  return out;
+}
+
+// Decodes `bytes` with `decoder` and re-encodes what it accepted.
+Result<std::string> DecodeThenEncode(const std::string& decoder,
+                                     const std::string& bytes) {
+  if (decoder == "container") {
+    ByteReader reader(bytes);
+    const Result<Container> c = Container::Deserialize(&reader);
+    if (c.ok() && !reader.empty()) return Status::Corruption("trailing bytes");
+    return Reserialize(c);
+  }
+  if (decoder == "roaring") return Reserialize(RoaringBitmap::Deserialize(bytes));
+  if (decoder == "bsi") return Reserialize(Bsi::Deserialize(bytes));
+  if (decoder == "exposebsi") return Reserialize(ExposeBsi::Deserialize(bytes));
+  if (decoder == "metricbsi") return Reserialize(MetricBsi::Deserialize(bytes));
+  if (decoder == "dimensionbsi") {
+    return Reserialize(DimensionBsi::Deserialize(bytes));
+  }
+  if (decoder == "positionencoder") {
+    return Reserialize(PositionEncoder::Deserialize(bytes));
+  }
+  if (decoder == "block") {
+    const Result<std::string> raw = DecompressBlock(bytes);
+    RETURN_IF_ERROR(raw.status());
+    return CompressBlock(raw.value());
+  }
+  if (decoder == "storefile") {
+    const std::string dir = FuzzDir("golden_store");
+    RETURN_IF_ERROR(fileio::WriteFileAtomic(dir + "/in", bytes));
+    const Result<BsiStore> store = BsiStore::LoadFromFile(dir + "/in");
+    RETURN_IF_ERROR(store.status());
+    RETURN_IF_ERROR(store.value().SaveToFile(dir + "/out"));
+    return fileio::ReadFileToString(dir + "/out", kMaxSegmentFileBytes);
+  }
+  if (decoder == "walsegment") {
+    // Replay the segment as the first of a log, then append the replayed
+    // records to a fresh log and read back its first segment. Golden
+    // segments therefore start at sequence 1.
+    const std::string in = FuzzDir("golden_wal_in");
+    RETURN_IF_ERROR(
+        fileio::WriteFileAtomic(in + "/" + WalSegmentFileName(1), bytes));
+    WalRecoveryReport report;
+    const Result<std::vector<WalRecord>> records = ReplayWal(in, &report);
+    RETURN_IF_ERROR(records.status());
+    if (!report.clean()) return Status::Corruption(report.errors.front());
+    const std::string out = FuzzDir("golden_wal_out");
+    {
+      WalOptions options;
+      options.sync_each_append = false;
+      Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(out, options);
+      RETURN_IF_ERROR(writer.status());
+      for (const WalRecord& record : records.value()) {
+        RETURN_IF_ERROR(writer.value()->Append(record.events).status());
+      }
+      RETURN_IF_ERROR(writer.value()->Sync());
+    }
+    return fileio::ReadFileToString(out + "/" + WalSegmentFileName(1),
+                                    kMaxWalSegmentBytes);
+  }
+  if (decoder == "envelope") {
+    const Result<wire::Envelope> env = wire::DecodeEnvelope(bytes);
+    RETURN_IF_ERROR(env.status());
+    std::string out;
+    wire::EncodeEnvelope(env.value(), &out);
+    return out;
+  }
+  if (decoder == "queryrequest") {
+    const Result<wire::WireQueryRequest> req = wire::DecodeQueryRequest(bytes);
+    RETURN_IF_ERROR(req.status());
+    std::string out;
+    wire::EncodeQueryRequest(req.value(), &out);
+    return out;
+  }
+  return Status::InvalidArgument("unknown decoder in golden corpus: " +
+                                 decoder);
+}
+
+// (decoder, hex) pairs of a corpus file, comments and blank lines dropped.
+std::vector<std::pair<std::string, std::string>> ReadCorpus(
+    const std::string& path) {
+  std::vector<std::pair<std::string, std::string>> entries;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "missing corpus file " << path;
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t hash = line.find('#');
+    if (hash != std::string::npos) line = line.substr(0, hash);
+    std::istringstream ls(line);
+    std::string decoder, hex;
+    if (ls >> decoder >> hex) entries.emplace_back(decoder, hex);
+  }
+  return entries;
+}
+
+TEST(DecodeFuzzTest, GoldenCorpusRoundTrips) {
+#ifdef EXPBSI_CORPUS_DIR
+  const auto entries =
+      ReadCorpus(std::string(EXPBSI_CORPUS_DIR) + "/golden_blobs.txt");
+  std::set<std::string> decoders;
+  for (const auto& [decoder, hex] : entries) {
+    decoders.insert(decoder);
+    const std::string ctx = "golden entry " + decoder + " " + hex;
+    const Result<std::string> again = DecodeThenEncode(decoder, Hex(hex));
+    ASSERT_TRUE(again.ok()) << ctx << ": " << again.status().ToString();
+    EXPECT_EQ(ToHex(again.value()), hex) << ctx;
+  }
+  // One entry per format at least: a dropped line must not go unnoticed.
+  EXPECT_EQ(decoders.size(), 12u);
+#else
+  GTEST_SKIP() << "corpus dir not configured";
+#endif
+}
+
+// The objects the golden corpus was encoded from, in corpus order. A
+// decode/re-encode round trip cannot see a change applied symmetrically to
+// an encoder and its decoder (two fields swapped, a byte order flipped);
+// encoding these fixed objects can.
+std::vector<std::pair<std::string, Result<std::string>>> EncodeGoldenObjects() {
+  std::vector<std::pair<std::string, Result<std::string>>> out;
+  const auto serialized = [](const auto& object) {
+    std::string bytes;
+    object.Serialize(&bytes);
+    return bytes;
+  };
+  const auto container = [](std::vector<uint16_t> values, bool run_optimize) {
+    Container c =
+        Container::FromSorted(values.data(), static_cast<int>(values.size()));
+    if (run_optimize) c.RunOptimize();
+    return c;
+  };
+  const Bsi small = Bsi::FromPairs({{1, 5}, {3, 2}, {70000, 9}});
+
+  out.emplace_back("container", serialized(container({1, 5, 300}, false)));
+  out.emplace_back("container",
+                   serialized(container({10, 11, 12, 13, 14, 15, 16, 17, 18,
+                                         19, 20, 100, 101, 102},
+                                        true)));
+  std::vector<uint16_t> thirds;
+  for (int i = 0; i < 5000; ++i) thirds.push_back(static_cast<uint16_t>(i * 3));
+  out.emplace_back("container", serialized(container(thirds, false)));
+  RoaringBitmap bm;
+  bm.Add(7);
+  bm.Add(65536 + 2);
+  bm.AddRange(200000, 200010);
+  bm.RunOptimize();
+  out.emplace_back("roaring", serialized(bm));
+  out.emplace_back("bsi", serialized(small));
+  ExposeBsi expose;
+  expose.strategy_id = 0x0102030405060708ull;
+  expose.min_expose_date = 19000;
+  expose.offset = Bsi::FromPairs({{0, 1}, {2, 3}});
+  expose.bucket = Bsi::FromPairs({{0, 4}, {2, 1}});
+  out.emplace_back("exposebsi", serialized(expose));
+  MetricBsi metric;
+  metric.date = 19001;
+  metric.metric_id = 42;
+  metric.value = small;
+  out.emplace_back("metricbsi", serialized(metric));
+  DimensionBsi dimension;
+  dimension.date = 19002;
+  dimension.dimension_id = 7;
+  dimension.value = Bsi::FromPairs({{4, 6}});
+  out.emplace_back("dimensionbsi", serialized(dimension));
+  PositionEncoder encoder;
+  encoder.Encode(1001);
+  encoder.Encode(5);
+  encoder.Encode(0xdeadbeefcafeull);
+  out.emplace_back("positionencoder", serialized(encoder));
+  out.emplace_back("block",
+                   CompressBlock("abcabcabcabcabcabcabcabcabcabcabcabc"
+                                 "XYZ0123456789"));
+
+  const std::string store_dir = FuzzDir("golden_store");
+  BsiStore store;
+  store.Put(BsiStoreKey{3, BsiKind::kMetric, 42, 19001}, serialized(small));
+  const Status saved = store.SaveToFile(store_dir + "/encoded");
+  out.emplace_back("storefile",
+                   saved.ok() ? fileio::ReadFileToString(
+                                    store_dir + "/encoded", kMaxSegmentFileBytes)
+                              : Result<std::string>(saved));
+
+  WalOptions options;
+  options.sync_each_append = false;
+  const auto wal_segment =
+      [&](const std::vector<WalEvent>& events) -> Result<std::string> {
+    const std::string dir = FuzzDir("golden_wal_out");
+    {
+      Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir, options);
+      RETURN_IF_ERROR(writer.status());
+      if (!events.empty()) {
+        RETURN_IF_ERROR(writer.value()->Append(events).status());
+      }
+      RETURN_IF_ERROR(writer.value()->Sync());
+    }
+    return fileio::ReadFileToString(dir + "/" + WalSegmentFileName(1),
+                                    kMaxWalSegmentBytes);
+  };
+  out.emplace_back("walsegment", wal_segment({}));
+  std::vector<WalEvent> events(2);
+  events[0].kind = WalEventKind::kExpose;
+  events[0].id = 11;
+  events[0].analysis_unit_id = 1001;
+  events[0].randomization_unit_id = 2002;
+  events[0].date = 19000;
+  events[1].kind = WalEventKind::kMetric;
+  events[1].id = 42;
+  events[1].analysis_unit_id = 1001;
+  events[1].date = 19001;
+  events[1].value = 300;
+  out.emplace_back("walsegment", wal_segment(events));
+
+  wire::Envelope envelope;
+  envelope.type = wire::MsgType::kQueryRequest;
+  envelope.flags = 0x0102;
+  envelope.request_id = 0x1122334455667788ull;
+  envelope.payload = "hello";
+  std::string frame;
+  wire::EncodeEnvelope(envelope, &frame);
+  out.emplace_back("envelope", frame);
+  wire::WireQueryRequest request;
+  request.strategy_ids = {1, 2};
+  request.metric_ids = {42};
+  request.date_lo = 19000;
+  request.date_hi = 19006;
+  request.segments = {0, 5};
+  request.allow_degraded = true;
+  request.want_trace = false;
+  std::string payload;
+  wire::EncodeQueryRequest(request, &payload);
+  out.emplace_back("queryrequest", payload);
+  return out;
+}
+
+TEST(DecodeFuzzTest, GoldenCorpusMatchesEncoders) {
+#ifdef EXPBSI_CORPUS_DIR
+  const auto entries =
+      ReadCorpus(std::string(EXPBSI_CORPUS_DIR) + "/golden_blobs.txt");
+  const auto encoded = EncodeGoldenObjects();
+  ASSERT_EQ(entries.size(), encoded.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const auto& [decoder, hex] = entries[i];
+    const std::string ctx = "golden entry " + std::to_string(i) + " (" +
+                            decoder + ")";
+    EXPECT_EQ(encoded[i].first, decoder) << ctx;
+    ASSERT_TRUE(encoded[i].second.ok())
+        << ctx << ": " << encoded[i].second.status().ToString();
+    EXPECT_EQ(ToHex(encoded[i].second.value()), hex) << ctx;
+  }
 #else
   GTEST_SKIP() << "corpus dir not configured";
 #endif
