@@ -248,15 +248,8 @@ Result<AdhocCluster::QueryStats> AdhocCluster::QueryBsiInternal(
   FaultInjector* const fi = FaultInjector::Get();
 
   // Per-pair per-segment partials, assembled as node waves complete.
-  std::map<StrategyMetricPair, BucketValues> partials;
-  for (uint64_t s : strategy_ids) {
-    for (uint64_t m : metric_ids) {
-      BucketValues bv;
-      bv.sums.assign(num_segments, 0.0);
-      bv.counts.assign(num_segments, 0.0);
-      partials.emplace(StrategyMetricPair{s, m}, std::move(bv));
-    }
-  }
+  std::map<StrategyMetricPair, BucketValues> partials =
+      MakeSegmentPartials(strategy_ids, metric_ids, num_segments);
 
   // Per-segment execution lives in cluster/segment_query.* and is shared
   // with the remote NodeServer, so the two serving paths cannot drift.
@@ -360,15 +353,8 @@ Result<AdhocCluster::QueryStats> AdhocCluster::QueryBsiInternal(
             obs::GetCounter("cluster.segments_processed");
         seg_counter.Add(completed.size());
         for (auto& [seg, partial] : completed) {
-          size_t slot = 0;
-          for (uint64_t s : strategy_ids) {
-            for (uint64_t m : metric_ids) {
-              BucketValues& bv = partials[{s, m}];
-              bv.sums[seg] = partial.sums[slot];
-              bv.counts[seg] = partial.counts[slot];
-              ++slot;
-            }
-          }
+          StoreSegmentPartial(strategy_ids, metric_ids, seg, partial.sums,
+                              partial.counts, &partials);
           if (requeued_segments.erase(seg) > 0) {
             ++stats.degraded.faults_survived;
           }
@@ -539,15 +525,8 @@ Result<AdhocCluster::QueryStats> AdhocCluster::QueryNormalBitmap(
     span.AddAttr("cold_bytes", stats.bytes_from_cold);
   }
 
-  std::map<StrategyMetricPair, BucketValues> partials;
-  for (uint64_t s : strategy_ids) {
-    for (uint64_t m : metric_ids) {
-      BucketValues bv;
-      bv.sums.assign(num_segments, 0.0);
-      bv.counts.assign(num_segments, 0.0);
-      partials.emplace(StrategyMetricPair{s, m}, std::move(bv));
-    }
-  }
+  std::map<StrategyMetricPair, BucketValues> partials =
+      MakeSegmentPartials(strategy_ids, metric_ids, num_segments);
 
   double max_node_latency = 0.0;
   for (int node = 0; node < config_.num_nodes; ++node) {

@@ -49,9 +49,6 @@ struct PrecomputeConfig {
   IngestStore* ingest = nullptr;
 };
 
-// (strategy_id, metric_id).
-using StrategyMetricPair = std::pair<uint64_t, uint64_t>;
-
 struct PrecomputeStats {
   double cpu_seconds = 0.0;   // summed across all tasks
   double wall_seconds = 0.0;

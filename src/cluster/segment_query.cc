@@ -52,6 +52,35 @@ Result<FetchOutcome> FetchDecoded(TieredStore& tier, const BsiStoreKey& key,
 
 }  // namespace
 
+std::map<StrategyMetricPair, BucketValues> MakeSegmentPartials(
+    const std::vector<uint64_t>& strategy_ids,
+    const std::vector<uint64_t>& metric_ids, int num_segments) {
+  std::map<StrategyMetricPair, BucketValues> partials;
+  for (uint64_t s : strategy_ids) {
+    for (uint64_t m : metric_ids) {
+      partials.emplace(StrategyMetricPair{s, m},
+                       BucketValues::Zeros(num_segments));
+    }
+  }
+  return partials;
+}
+
+void StoreSegmentPartial(const std::vector<uint64_t>& strategy_ids,
+                         const std::vector<uint64_t>& metric_ids, int seg,
+                         const std::vector<double>& sums,
+                         const std::vector<double>& counts,
+                         std::map<StrategyMetricPair, BucketValues>* partials) {
+  size_t slot = 0;
+  for (uint64_t s : strategy_ids) {
+    for (uint64_t m : metric_ids) {
+      BucketValues& bv = (*partials)[{s, m}];
+      bv.sums[seg] = sums[slot];
+      bv.counts[seg] = counts[slot];
+      ++slot;
+    }
+  }
+}
+
 Result<bool> ExecuteSegmentQuery(TieredStore& tier, int seg,
                                  const std::vector<uint64_t>& strategy_ids,
                                  const std::vector<uint64_t>& metric_ids,

@@ -2,11 +2,13 @@
 #define EXPBSI_CLUSTER_SEGMENT_QUERY_H_
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "common/retry.h"
 #include "common/status.h"
 #include "expdata/schema.h"
+#include "stats/bucket_stats.h"
 #include "storage/tiered_store.h"
 
 namespace expbsi {
@@ -25,6 +27,21 @@ struct SegPartial {
   std::vector<double> sums;    // [si * num_metrics + mi]
   std::vector<double> counts;
 };
+
+// The scorecard a scatter/gather assembles: per (strategy, metric) pair,
+// one zero-filled BucketValues slot per segment (the bucket is the segment
+// on the serving path), filled as segments' partials arrive.
+std::map<StrategyMetricPair, BucketValues> MakeSegmentPartials(
+    const std::vector<uint64_t>& strategy_ids,
+    const std::vector<uint64_t>& metric_ids, int num_segments);
+
+// Stores segment `seg`'s partial, laid out [si * num_metrics + mi] as in
+// SegPartial, into slot `seg` of every pair in `partials`.
+void StoreSegmentPartial(const std::vector<uint64_t>& strategy_ids,
+                         const std::vector<uint64_t>& metric_ids, int seg,
+                         const std::vector<double>& sums,
+                         const std::vector<double>& counts,
+                         std::map<StrategyMetricPair, BucketValues>* partials);
 
 // Recovery accounting for one segment's execution, accumulated by the
 // caller into its DegradedInfo / response stats.

@@ -1,6 +1,5 @@
 #include "engine/deepdive.h"
 
-#include "bsi/bsi_group_by.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -119,44 +118,18 @@ BucketValues ComputeStrategyMetricBsiFiltered(
     Date date_lo, Date date_hi,
     const std::vector<DimensionPredicate>& preds, Date dim_date) {
   CHECK_LE(date_lo, date_hi);
-  BucketValues out;
-  out.sums.assign(data.effective_buckets(), 0.0);
-  out.counts.assign(data.effective_buckets(), 0.0);
-  for (int seg = 0; seg < data.num_segments; ++seg) {
-    const SegmentBsiData& sbd = data.segments[seg];
-    const ExposeBsi* expose = sbd.FindExpose(strategy_id);
-    if (expose == nullptr) continue;
-    const RoaringBitmap dim_mask = DimensionFilterMask(sbd, preds, dim_date);
-    if (dim_mask.IsEmpty()) continue;
-    for (Date date = date_lo; date <= date_hi; ++date) {
-      const MetricBsi* metric = sbd.FindMetric(metric_id, date);
-      if (metric == nullptr) continue;
-      RoaringBitmap mask = expose->ExposedOnOrBefore(date);
-      mask.AndInPlace(dim_mask);
-      if (mask.IsEmpty()) continue;
-      if (data.bucket_equals_segment) {
-        out.sums[seg] += static_cast<double>(metric->value.SumUnderMask(mask));
-      } else {
-        const std::vector<uint64_t> sums = GroupSumByBucket(
-            metric->value, expose->bucket, data.num_buckets, mask);
-        for (int b = 0; b < data.num_buckets; ++b) {
-          out.sums[b] += static_cast<double>(sums[b]);
-        }
-      }
-    }
-    RoaringBitmap count_mask = expose->ExposedOnOrBefore(date_hi);
-    count_mask.AndInPlace(dim_mask);
-    if (data.bucket_equals_segment) {
-      out.counts[seg] += static_cast<double>(count_mask.Cardinality());
-    } else {
-      const std::vector<uint64_t> counts =
-          GroupCountByBucket(expose->bucket, data.num_buckets, count_mask);
-      for (int b = 0; b < data.num_buckets; ++b) {
-        out.counts[b] += static_cast<double>(counts[b]);
-      }
-    }
-  }
-  return out;
+  return FoldStrategyMetric(
+      data, strategy_id, metric_id, date_lo, date_hi,
+      [&preds, dim_date](int, const SegmentBsiData& sbd,
+                         const ExposeBsi& expose) {
+        return [&expose, dim_mask = DimensionFilterMask(sbd, preds, dim_date)](
+                   Date date) {
+          if (dim_mask.IsEmpty()) return RoaringBitmap();
+          RoaringBitmap mask = expose.ExposedOnOrBefore(date);
+          mask.AndInPlace(dim_mask);
+          return mask;
+        };
+      });
 }
 
 std::vector<DimensionBreakdownEntry> ComputeDimensionBreakdown(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "bsi/bsi_group_by.h"
 #include "common/check.h"
 #include "common/threadpool.h"
 
@@ -22,6 +23,36 @@ const DimensionBsi* SegmentBsiData::FindDimension(uint32_t dimension_id,
                                                   Date date) const {
   auto it = dimensions.find({dimension_id, date});
   return it == dimensions.end() ? nullptr : &it->second;
+}
+
+void FoldIntoBuckets(const ExperimentBsiData& data, int segment,
+                     const Bsi& bucket_plus_one, const RoaringBitmap& mask,
+                     const Bsi* value, std::vector<double>* sums,
+                     std::vector<double>* counts) {
+  if (mask.IsEmpty()) return;
+  if (data.bucket_equals_segment) {
+    if (value != nullptr) {
+      (*sums)[segment] += static_cast<double>(value->SumUnderMask(mask));
+    }
+    if (counts != nullptr) {
+      (*counts)[segment] += static_cast<double>(mask.Cardinality());
+    }
+    return;
+  }
+  if (value != nullptr) {
+    const std::vector<uint64_t> bucket_sums =
+        GroupSumByBucket(*value, bucket_plus_one, data.num_buckets, mask);
+    for (int b = 0; b < data.num_buckets; ++b) {
+      (*sums)[b] += static_cast<double>(bucket_sums[b]);
+    }
+  }
+  if (counts != nullptr) {
+    const std::vector<uint64_t> bucket_counts =
+        GroupCountByBucket(bucket_plus_one, data.num_buckets, mask);
+    for (int b = 0; b < data.num_buckets; ++b) {
+      (*counts)[b] += static_cast<double>(bucket_counts[b]);
+    }
+  }
 }
 
 namespace {

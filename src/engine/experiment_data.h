@@ -11,6 +11,7 @@
 #include "expdata/generator.h"
 #include "expdata/position_encoder.h"
 #include "expdata/schema.h"
+#include "stats/bucket_stats.h"
 
 namespace expbsi {
 
@@ -43,6 +44,19 @@ struct ExperimentBsiData {
     return bucket_equals_segment ? num_segments : num_buckets;
   }
 };
+
+// Folds one segment's masked partial into per-bucket replicates (§3.3,
+// §4.2). This is the only place the bucket == segment choice is made: when
+// the bucket is the segment, slot `segment` gains the masked total;
+// otherwise `mask` is partitioned by `bucket_plus_one` (the expose BSI's
+// bucket column, unused when the bucket is the segment) and every bucket
+// gains its share. With `value`, the sum of `value` under the mask is added
+// into `*sums`; with `counts`, the number of masked units is added into
+// `*counts`. An empty mask adds nothing.
+void FoldIntoBuckets(const ExperimentBsiData& data, int segment,
+                     const Bsi& bucket_plus_one, const RoaringBitmap& mask,
+                     const Bsi* value, std::vector<double>* sums,
+                     std::vector<double>* counts);
 
 // Converts a generated dataset to its BSI representation.
 // `engagement_ordered_encoding` pre-assigns positions by engagement rank

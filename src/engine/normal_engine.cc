@@ -27,12 +27,8 @@ BucketValues ComputeStrategyMetricNormal(const Dataset& dataset,
                                          uint64_t metric_id, Date date_lo,
                                          Date date_hi) {
   CHECK_LE(date_lo, date_hi);
-  const int num_buckets = dataset.config.bucket_equals_segment
-                              ? dataset.config.num_segments
-                              : dataset.config.num_buckets;
-  BucketValues out;
-  out.sums.assign(num_buckets, 0.0);
-  out.counts.assign(num_buckets, 0.0);
+  BucketValues out =
+      BucketValues::Zeros(dataset.config.effective_buckets());
 
   for (int seg = 0; seg < dataset.config.num_segments; ++seg) {
     const SegmentData& rows = dataset.segments[seg];
@@ -97,12 +93,8 @@ BucketValues ComputeStrategyMetricNormalIndexed(const Dataset& dataset,
                                                 uint64_t metric_id,
                                                 Date date_lo, Date date_hi) {
   CHECK_LE(date_lo, date_hi);
-  const int num_buckets = dataset.config.bucket_equals_segment
-                              ? dataset.config.num_segments
-                              : dataset.config.num_buckets;
-  BucketValues out;
-  out.sums.assign(num_buckets, 0.0);
-  out.counts.assign(num_buckets, 0.0);
+  BucketValues out =
+      BucketValues::Zeros(dataset.config.effective_buckets());
   for (int seg = 0; seg < dataset.config.num_segments; ++seg) {
     const std::vector<ExposeRow>* expose_rows =
         index.ExposeRows(strategy_id, seg);
@@ -181,9 +173,7 @@ BucketValues ComputeStrategyMetricExposeBitmap(const Dataset& dataset,
   CHECK(dataset.config.bucket_equals_segment);
   CHECK_GE(date_lo, cache.date_lo());
   CHECK_LE(date_hi, cache.date_hi());
-  BucketValues out;
-  out.sums.assign(dataset.config.num_segments, 0.0);
-  out.counts.assign(dataset.config.num_segments, 0.0);
+  BucketValues out = BucketValues::Zeros(dataset.config.num_segments);
   for (int seg = 0; seg < dataset.config.num_segments; ++seg) {
     // Scan the metric rows, filtering through the per-day expose bitmap.
     for (const MetricRow& row : dataset.segments[seg].metrics) {

@@ -1,44 +1,11 @@
 #include "engine/preexperiment.h"
 
 #include "bsi/bsi_aggregate.h"
-#include "bsi/bsi_group_by.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace expbsi {
-namespace {
-
-// Adds the (pre-period sum, exposed count) contribution of one segment given
-// the already-folded pre-period value BSI.
-void AccumulatePrePeriod(const ExperimentBsiData& data, int segment,
-                         const ExposeBsi& expose, const Bsi& pre_sum,
-                         Date as_of_date, BucketValues* out) {
-  const RoaringBitmap mask = expose.ExposedOnOrBefore(as_of_date);
-  if (mask.IsEmpty()) return;
-  if (data.bucket_equals_segment) {
-    out->sums[segment] += static_cast<double>(pre_sum.SumUnderMask(mask));
-    out->counts[segment] += static_cast<double>(mask.Cardinality());
-  } else {
-    const std::vector<uint64_t> sums =
-        GroupSumByBucket(pre_sum, expose.bucket, data.num_buckets, mask);
-    const std::vector<uint64_t> counts =
-        GroupCountByBucket(expose.bucket, data.num_buckets, mask);
-    for (int b = 0; b < data.num_buckets; ++b) {
-      out->sums[b] += static_cast<double>(sums[b]);
-      out->counts[b] += static_cast<double>(counts[b]);
-    }
-  }
-}
-
-BucketValues MakeEmptyBuckets(const ExperimentBsiData& data) {
-  BucketValues out;
-  out.sums.assign(data.effective_buckets(), 0.0);
-  out.counts.assign(data.effective_buckets(), 0.0);
-  return out;
-}
-
-}  // namespace
 
 BucketValues ComputePreExperimentBsi(const ExperimentBsiData& data,
                                      uint64_t strategy_id, uint64_t metric_id,
@@ -50,7 +17,7 @@ BucketValues ComputePreExperimentBsi(const ExperimentBsiData& data,
   span.AddAttr("lookback_days", static_cast<uint64_t>(lookback_days));
   static obs::Counter& runs = obs::GetCounter("engine.preexperiment_folds");
   runs.Add();
-  BucketValues out = MakeEmptyBuckets(data);
+  BucketValues out = BucketValues::Zeros(data.effective_buckets());
   const Date pre_lo = expt_start - lookback_days;
   const Date pre_hi = expt_start - 1;
   for (int seg = 0; seg < data.num_segments; ++seg) {
@@ -66,7 +33,9 @@ BucketValues ComputePreExperimentBsi(const ExperimentBsiData& data,
       if (metric != nullptr) days.push_back(&metric->value);
     }
     const Bsi pre_sum = SumBsi(days);
-    AccumulatePrePeriod(data, seg, *expose, pre_sum, as_of_date, &out);
+    FoldIntoBuckets(data, seg, expose->bucket,
+                    expose->ExposedOnOrBefore(as_of_date), &pre_sum, &out.sums,
+                    &out.counts);
   }
   return out;
 }
@@ -109,14 +78,16 @@ BucketValues ComputePreExperimentWithTree(const ExperimentBsiData& data,
   span.AddAttr("lookback_days", static_cast<uint64_t>(lookback_days));
   static obs::Counter& runs = obs::GetCounter("engine.preexperiment_folds");
   runs.Add();
-  BucketValues out = MakeEmptyBuckets(data);
+  BucketValues out = BucketValues::Zeros(data.effective_buckets());
   for (int seg = 0; seg < data.num_segments; ++seg) {
     const ExposeBsi* expose = data.segments[seg].FindExpose(strategy_id);
     if (expose == nullptr) continue;
     const Bsi pre_sum = index.per_segment[seg].Query(
         static_cast<int>(pre_lo - index.first_date),
         static_cast<int>(pre_hi - index.first_date));
-    AccumulatePrePeriod(data, seg, *expose, pre_sum, as_of_date, &out);
+    FoldIntoBuckets(data, seg, expose->bucket,
+                    expose->ExposedOnOrBefore(as_of_date), &pre_sum, &out.sums,
+                    &out.counts);
   }
   return out;
 }

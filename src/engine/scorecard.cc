@@ -1,76 +1,24 @@
 #include "engine/scorecard.h"
 
-#include "bsi/bsi_group_by.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "roaring/union_accumulator.h"
 
 namespace expbsi {
-namespace {
-
-// Adds one segment-day's contribution to `out`.
-void AccumulateSegmentDay(const ExperimentBsiData& data, int segment,
-                          const ExposeBsi& expose, const MetricBsi& metric,
-                          Date date, BucketValues* out) {
-  const RoaringBitmap mask = expose.ExposedOnOrBefore(date);
-  if (mask.IsEmpty()) return;
-  if (data.bucket_equals_segment) {
-    out->sums[segment] +=
-        static_cast<double>(metric.value.SumUnderMask(mask));
-  } else {
-    const std::vector<uint64_t> sums = GroupSumByBucket(
-        metric.value, expose.bucket, data.num_buckets, mask);
-    for (int b = 0; b < data.num_buckets; ++b) {
-      out->sums[b] += static_cast<double>(sums[b]);
-    }
-  }
-}
-
-// Adds the exposed-unit counts as of `date` (the metric denominator).
-void AccumulateExposedCounts(const ExperimentBsiData& data, int segment,
-                             const ExposeBsi& expose, Date date,
-                             BucketValues* out) {
-  const RoaringBitmap mask = expose.ExposedOnOrBefore(date);
-  if (mask.IsEmpty()) return;
-  if (data.bucket_equals_segment) {
-    out->counts[segment] += static_cast<double>(mask.Cardinality());
-  } else {
-    const std::vector<uint64_t> counts =
-        GroupCountByBucket(expose.bucket, data.num_buckets, mask);
-    for (int b = 0; b < data.num_buckets; ++b) {
-      out->counts[b] += static_cast<double>(counts[b]);
-    }
-  }
-}
-
-BucketValues MakeEmptyBuckets(const ExperimentBsiData& data) {
-  BucketValues out;
-  out.sums.assign(data.effective_buckets(), 0.0);
-  out.counts.assign(data.effective_buckets(), 0.0);
-  return out;
-}
-
-}  // namespace
 
 BucketValues ComputeStrategyMetricBsi(const ExperimentBsiData& data,
                                       uint64_t strategy_id,
                                       uint64_t metric_id, Date date_lo,
                                       Date date_hi) {
   CHECK_LE(date_lo, date_hi);
-  BucketValues out = MakeEmptyBuckets(data);
-  for (int seg = 0; seg < data.num_segments; ++seg) {
-    const SegmentBsiData& sbd = data.segments[seg];
-    const ExposeBsi* expose = sbd.FindExpose(strategy_id);
-    if (expose == nullptr) continue;
-    for (Date date = date_lo; date <= date_hi; ++date) {
-      const MetricBsi* metric = sbd.FindMetric(metric_id, date);
-      if (metric == nullptr) continue;
-      AccumulateSegmentDay(data, seg, *expose, *metric, date, &out);
-    }
-    AccumulateExposedCounts(data, seg, *expose, date_hi, &out);
-  }
-  return out;
+  return FoldStrategyMetric(
+      data, strategy_id, metric_id, date_lo, date_hi,
+      [](int, const SegmentBsiData&, const ExposeBsi& expose) {
+        return [&expose](Date date) {
+          return expose.ExposedOnOrBefore(date);
+        };
+      });
 }
 
 BucketValues ComputeStrategyRatioMetricBsi(const ExperimentBsiData& data,
@@ -93,7 +41,7 @@ BucketValues ComputeStrategyUniqueVisitorsBsi(const ExperimentBsiData& data,
                                               uint64_t metric_id, Date date_lo,
                                               Date date_hi) {
   CHECK_LE(date_lo, date_hi);
-  BucketValues out = MakeEmptyBuckets(data);
+  BucketValues out = BucketValues::Zeros(data.effective_buckets());
   for (int seg = 0; seg < data.num_segments; ++seg) {
     const SegmentBsiData& sbd = data.segments[seg];
     const ExposeBsi* expose = sbd.FindExpose(strategy_id);
@@ -109,16 +57,11 @@ BucketValues ComputeStrategyUniqueVisitorsBsi(const ExperimentBsiData& data,
                                       expose->ExposedOnOrBefore(date)));
     }
     const RoaringBitmap visitors = acc.Finish();
-    if (data.bucket_equals_segment) {
-      out.sums[seg] += static_cast<double>(visitors.Cardinality());
-    } else {
-      const std::vector<uint64_t> counts =
-          GroupCountByBucket(expose->bucket, data.num_buckets, visitors);
-      for (int b = 0; b < data.num_buckets; ++b) {
-        out.sums[b] += static_cast<double>(counts[b]);
-      }
-    }
-    AccumulateExposedCounts(data, seg, *expose, date_hi, &out);
+    FoldIntoBuckets(data, seg, expose->bucket, visitors, nullptr, nullptr,
+                    &out.sums);
+    FoldIntoBuckets(data, seg, expose->bucket,
+                    expose->ExposedOnOrBefore(date_hi), nullptr, nullptr,
+                    &out.counts);
   }
   return out;
 }
@@ -159,39 +102,13 @@ BucketValues ComputeStrategyMetricBsiCached(const ExperimentBsiData& data,
   CHECK_LE(date_lo, date_hi);
   CHECK_GE(date_lo, cache.date_lo());
   CHECK_LE(date_hi, cache.date_hi());
-  BucketValues out = MakeEmptyBuckets(data);
-  for (int seg = 0; seg < data.num_segments; ++seg) {
-    const SegmentBsiData& sbd = data.segments[seg];
-    for (Date date = date_lo; date <= date_hi; ++date) {
-      const MetricBsi* metric = sbd.FindMetric(metric_id, date);
-      if (metric == nullptr) continue;
-      const RoaringBitmap& mask = cache.Mask(seg, date);
-      if (mask.IsEmpty()) continue;
-      if (data.bucket_equals_segment) {
-        out.sums[seg] += static_cast<double>(metric->value.SumUnderMask(mask));
-      } else {
-        const ExposeBsi* expose = sbd.FindExpose(cache.strategy_id());
-        const std::vector<uint64_t> sums = GroupSumByBucket(
-            metric->value, expose->bucket, data.num_buckets, mask);
-        for (int b = 0; b < data.num_buckets; ++b) {
-          out.sums[b] += static_cast<double>(sums[b]);
-        }
-      }
-    }
-    const RoaringBitmap& final_mask = cache.Mask(seg, date_hi);
-    if (final_mask.IsEmpty()) continue;
-    if (data.bucket_equals_segment) {
-      out.counts[seg] += static_cast<double>(final_mask.Cardinality());
-    } else {
-      const ExposeBsi* expose = sbd.FindExpose(cache.strategy_id());
-      const std::vector<uint64_t> counts =
-          GroupCountByBucket(expose->bucket, data.num_buckets, final_mask);
-      for (int b = 0; b < data.num_buckets; ++b) {
-        out.counts[b] += static_cast<double>(counts[b]);
-      }
-    }
-  }
-  return out;
+  return FoldStrategyMetric(
+      data, cache.strategy_id(), metric_id, date_lo, date_hi,
+      [&cache](int seg, const SegmentBsiData&, const ExposeBsi&) {
+        return [&cache, seg](Date date) -> const RoaringBitmap& {
+          return cache.Mask(seg, date);
+        };
+      });
 }
 
 ScorecardEntry CompareStrategies(uint64_t metric_id, uint64_t treatment_id,

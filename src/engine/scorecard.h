@@ -81,6 +81,36 @@ BucketValues ComputeStrategyMetricBsiCached(const ExperimentBsiData& data,
                                             uint64_t metric_id, Date date_lo,
                                             Date date_hi);
 
+// The per-segment, per-day loop behind ComputeStrategyMetricBsi, its cached
+// form and the deep-dive's ComputeStrategyMetricBsiFiltered, which differ
+// only in where a day's exposure mask comes from. For each segment exposing
+// `strategy_id`, `segment_masks(seg, segment_data, expose)` returns a
+// callable mapping a date to that day's mask -- by value when computed, by
+// const reference when cached, so cached masks are never copied. Each day's
+// metric sum and the date_hi mask's count fold through FoldIntoBuckets.
+template <typename SegmentMasks>
+BucketValues FoldStrategyMetric(const ExperimentBsiData& data,
+                                uint64_t strategy_id, uint64_t metric_id,
+                                Date date_lo, Date date_hi,
+                                const SegmentMasks& segment_masks) {
+  BucketValues out = BucketValues::Zeros(data.effective_buckets());
+  for (int seg = 0; seg < data.num_segments; ++seg) {
+    const SegmentBsiData& sbd = data.segments[seg];
+    const ExposeBsi* expose = sbd.FindExpose(strategy_id);
+    if (expose == nullptr) continue;
+    const auto mask_on = segment_masks(seg, sbd, *expose);
+    for (Date date = date_lo; date <= date_hi; ++date) {
+      const MetricBsi* metric = sbd.FindMetric(metric_id, date);
+      if (metric == nullptr) continue;
+      FoldIntoBuckets(data, seg, expose->bucket, mask_on(date),
+                      &metric->value, &out.sums, nullptr);
+    }
+    FoldIntoBuckets(data, seg, expose->bucket, mask_on(date_hi), nullptr,
+                    nullptr, &out.counts);
+  }
+  return out;
+}
+
 // One scorecard line: treatment vs control on one metric.
 struct ScorecardEntry {
   uint64_t metric_id = 0;

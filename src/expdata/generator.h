@@ -35,6 +35,11 @@ struct DatasetConfig {
   uint64_t seed = 42;
   // Exponent of the per-user engagement skew; higher = heavier head.
   double engagement_exponent = 0.5;
+
+  // Bucket count as used by BucketValues vectors.
+  int effective_buckets() const {
+    return bucket_equals_segment ? num_segments : num_buckets;
+  }
 };
 
 // One experiment: a traffic split over `strategy_ids` (arm 0 = control).

@@ -2,6 +2,7 @@
 #define EXPBSI_EXPDATA_SCHEMA_H_
 
 #include <cstdint>
+#include <utility>
 
 namespace expbsi {
 
@@ -12,6 +13,9 @@ using UnitId = uint64_t;
 // Calendar date as a day index (0 = epoch of the dataset). The paper stores
 // dates as UInt32; a day index keeps arithmetic (offsets, ranges) trivial.
 using Date = uint32_t;
+
+// (strategy_id, metric_id): the key of one scorecard cell.
+using StrategyMetricPair = std::pair<uint64_t, uint64_t>;
 
 // Normal-format ("row") schemas, Table 1 of the paper. These are what the
 // baseline engines scan and what the BSI builders consume.

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "cluster/segment_query.h"
 #include "common/check.h"
 #include "common/fault_injector.h"
 #include "common/timer.h"
@@ -157,15 +158,8 @@ Result<AdhocCluster::QueryStats> Coordinator::QueryBsiInternal(
   const size_t num_metrics = metric_ids.size();
   const size_t slots = strategy_ids.size() * num_metrics;
 
-  std::map<StrategyMetricPair, BucketValues> partials;
-  for (uint64_t s : strategy_ids) {
-    for (uint64_t m : metric_ids) {
-      BucketValues bv;
-      bv.sums.assign(num_segments, 0.0);
-      bv.counts.assign(num_segments, 0.0);
-      partials.emplace(StrategyMetricPair{s, m}, std::move(bv));
-    }
-  }
+  std::map<StrategyMetricPair, BucketValues> partials =
+      MakeSegmentPartials(strategy_ids, metric_ids, num_segments);
 
   // Per-segment routing state. A segment is pending until answered or
   // declared lost; `tried[seg]` are replicas that had their chance (dead,
@@ -488,15 +482,9 @@ Result<AdhocCluster::QueryStats> Coordinator::QueryBsiInternal(
               if (answered[seg.segment]) continue;  // hedge duplicate
               answered[seg.segment] = true;
               seg_counter.Add();
-              size_t slot = 0;
-              for (uint64_t s : strategy_ids) {
-                for (uint64_t m : metric_ids) {
-                  BucketValues& bv = partials[{s, m}];
-                  bv.sums[seg.segment] = seg.sums[slot];
-                  bv.counts[seg.segment] = seg.counts[slot];
-                  ++slot;
-                }
-              }
+              StoreSegmentPartial(strategy_ids, metric_ids,
+                                  static_cast<int>(seg.segment), seg.sums,
+                                  seg.counts, &partials);
               if (failed_over[seg.segment]) ++stats.degraded.faults_survived;
             }
             break;

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "bsi/bsi_aggregate.h"
-#include "bsi/bsi_group_by.h"
 #include "obs/metrics.h"
 #include "query/parser.h"
 #include "roaring/union_accumulator.h"
@@ -380,27 +379,17 @@ Result<QueryResult> ExecuteQuery(const ExperimentBsiData& data,
     obs::ScopedSpan span("group_by_bucket");
     const int buckets = data.effective_buckets();
     span.AddAttr("buckets", static_cast<uint64_t>(buckets));
-    std::vector<double> sums(buckets, 0.0), counts(buckets, 0.0);
+    BucketValues folded = BucketValues::Zeros(buckets);
+    // Validated: in bucketed mode scan.bucket comes from the single
+    // exposed() predicate; a scan without one has an empty mask.
+    const Bsi no_bucket;
     for (int seg = 0; seg < data.num_segments; ++seg) {
       for (const SegmentScan& scan : scans[seg]) {
-        if (scan.source == nullptr || scan.mask.IsEmpty()) continue;
-        if (data.bucket_equals_segment) {
-          sums[seg] +=
-              static_cast<double>(scan.source->SumUnderMask(scan.mask));
-          counts[seg] += static_cast<double>(scan.mask.Cardinality());
-        } else {
-          // Validated: scan.bucket comes from the single exposed()
-          // predicate.
-          if (scan.bucket == nullptr) continue;
-          const std::vector<uint64_t> s = GroupSumByBucket(
-              *scan.source, *scan.bucket, buckets, scan.mask);
-          const std::vector<uint64_t> c =
-              GroupCountByBucket(*scan.bucket, buckets, scan.mask);
-          for (int b = 0; b < buckets; ++b) {
-            sums[b] += static_cast<double>(s[b]);
-            counts[b] += static_cast<double>(c[b]);
-          }
-        }
+        if (scan.source == nullptr) continue;
+        FoldIntoBuckets(data, seg,
+                        scan.bucket != nullptr ? *scan.bucket : no_bucket,
+                        scan.mask, scan.source, &folded.sums,
+                        &folded.counts);
       }
     }
     result.per_bucket.assign(buckets, {});
@@ -408,14 +397,15 @@ Result<QueryResult> ExecuteQuery(const ExperimentBsiData& data,
       for (const QueryAggregate& agg : query.aggregates) {
         switch (agg.func) {
           case QueryAggregate::Func::kSum:
-            result.per_bucket[b].push_back(sums[b]);
+            result.per_bucket[b].push_back(folded.sums[b]);
             break;
           case QueryAggregate::Func::kCount:
-            result.per_bucket[b].push_back(counts[b]);
+            result.per_bucket[b].push_back(folded.counts[b]);
             break;
           case QueryAggregate::Func::kAvg:
             result.per_bucket[b].push_back(
-                counts[b] > 0 ? sums[b] / counts[b] : 0.0);
+                folded.counts[b] > 0 ? folded.sums[b] / folded.counts[b]
+                                     : 0.0);
             break;
           default:
             break;  // validated unreachable

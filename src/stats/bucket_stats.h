@@ -18,6 +18,13 @@ struct BucketValues {
   std::vector<double> sums;    // sum of metric values per bucket
   std::vector<double> counts;  // exposed analysis units per bucket
 
+  // `num_buckets` replicates whose sums and counts are all zero: the one
+  // starting state every engine and query path folds partials into.
+  static BucketValues Zeros(int num_buckets) {
+    return BucketValues{std::vector<double>(num_buckets, 0.0),
+                        std::vector<double>(num_buckets, 0.0)};
+  }
+
   int num_buckets() const { return static_cast<int>(sums.size()); }
   double total_sum() const;
   double total_count() const;

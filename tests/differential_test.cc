@@ -513,6 +513,12 @@ void RunEngineIteration(uint64_t seed) {
   const uint64_t control = propgen::kFuzzControlStrategy;
   const uint64_t treatment = propgen::kFuzzTreatmentStrategy;
 
+  // A seeded sub-range [a, b] of the cached window, drawn from its own
+  // stream so the draws below stay those of the seed.
+  Rng range_rng(seed ^ 0x5AB2A4CEull);
+  const Date a = lo + static_cast<Date>(range_rng.NextBounded(hi - lo + 1));
+  const Date b = a + static_cast<Date>(range_rng.NextBounded(hi - a + 1));
+
   // Scorecard kernels: exact.
   for (const uint64_t strategy : {control, treatment}) {
     const std::string sctx = ctx + " strategy=" + std::to_string(strategy);
@@ -528,6 +534,14 @@ void RunEngineIteration(uint64_t seed) {
     ExpectBucketsBitEqual(ComputeStrategyMetricBsiCached(
                               bsi, cache, propgen::kFuzzMetricA, lo, hi),
                           got, sctx + " cached");
+    // A cache over [lo, hi] serving a narrower range: the precompute batch's
+    // shape, in both bucket modes.
+    ExpectBucketsBitEqual(
+        ComputeStrategyMetricBsiCached(bsi, cache, propgen::kFuzzMetricA, a,
+                                       b),
+        RefComputeStrategyMetric(ref, strategy, propgen::kFuzzMetricA, a, b),
+        sctx + " cached [" + std::to_string(a) + "," + std::to_string(b) +
+            "]");
     ExpectBucketsBitEqual(
         ComputeStrategyRatioMetricBsi(bsi, strategy, propgen::kFuzzMetricA,
                                       propgen::kFuzzMetricB, lo, hi),
