@@ -7,6 +7,7 @@
 #include "bsi/bsi.h"
 #include "bsi/bsi_group_by.h"
 #include "common/rng.h"
+#include "expdata/bsi_builder.h"
 
 namespace expbsi {
 namespace {
@@ -52,6 +53,56 @@ void BM_BsiSumUnderMask(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BsiSumUnderMask);
+
+// The fleet's serving shape: one 2,500-position segment, 15 array slices
+// (values up to 21600) and an ~830-value array exposure mask.
+void BM_BsiSumUnderMaskServing(benchmark::State& state) {
+  Bsi x = MakeBsi(1, 2500, 1.0, 21600);
+  RoaringBitmap mask = MakeBsi(2, 2500, 1.0 / 3, 1).existence();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x.SumUnderMask(mask));
+  }
+}
+BENCHMARK(BM_BsiSumUnderMaskServing);
+
+// The precompute shape: one bucket's ~9-value mask over a 32,768-position
+// segment whose slices are bitmaps.
+void BM_BsiSumUnderMaskBucket(benchmark::State& state) {
+  Bsi x = MakeBsi(1, 1 << 15, 0.9, 21600);
+  RoaringBitmap mask = MakeBsi(2, 1 << 15, 9.0 / (1 << 15), 1).existence();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x.SumUnderMask(mask));
+  }
+}
+BENCHMARK(BM_BsiSumUnderMaskBucket);
+
+// A week of per-day exposure masks over the serving shape: ~830 exposed
+// positions of a 2,500-position segment, first exposed on days 1..7.
+ExposeBsi MakeWeekExpose() {
+  ExposeBsi expose;
+  expose.min_expose_date = 100;
+  expose.offset = MakeBsi(3, 2500, 1.0 / 3, 7);
+  return expose;
+}
+
+void BM_ExposedOnOrBeforeEachDay(benchmark::State& state) {
+  const ExposeBsi expose = MakeWeekExpose();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(expose.ExposedOnOrBeforeEachDay(100, 106));
+  }
+}
+BENCHMARK(BM_ExposedOnOrBeforeEachDay);
+
+// The same seven masks from seven single-day range searches.
+void BM_ExposedOnOrBeforePerDay(benchmark::State& state) {
+  const ExposeBsi expose = MakeWeekExpose();
+  for (auto _ : state) {
+    for (Date d = 100; d <= 106; ++d) {
+      benchmark::DoNotOptimize(expose.ExposedOnOrBefore(d));
+    }
+  }
+}
+BENCHMARK(BM_ExposedOnOrBeforePerDay);
 
 void BM_BsiRangeLe(benchmark::State& state) {
   Bsi x = MakeBsi(1, 1 << 20, 0.4, 21600);

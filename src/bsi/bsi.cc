@@ -1,14 +1,17 @@
 #include "bsi/bsi.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <optional>
 
 #include "bsi/bsi_aggregate.h"
 #include "bsi/bsi_compare.h"
 #include "common/bit_util.h"
 #include "common/byte_io.h"
 #include "common/check.h"
+#include "common/scratch_arena.h"
 #include "obs/metrics.h"
 
 namespace expbsi {
@@ -341,11 +344,67 @@ uint64_t Bsi::Sum() const {
 }
 
 uint64_t Bsi::SumUnderMask(const RoaringBitmap& mask) const {
+  // Slices at bit 64 and above (only arithmetic overflow builds them) can
+  // only carry the total past 2^64 - 1.
+  for (int i = 64; i < num_slices(); ++i) {
+    CHECK(!RoaringBitmap::Intersects(slices_[i], mask));
+  }
+  // One walk over the mask's chunks with a monotone cursor per slice. An
+  // array slice bit-tests its values against the chunk's mask words. A
+  // bitmap mask lends its payload; an array or run mask is set into one
+  // scratch buffer at most once per chunk, only when a slice needs it, and
+  // only when it holds at least as many values as words in its span:
+  // setting and re-zeroing cost about twice the span, and each array slice
+  // then saves the mask's length in merge steps. Bitmap and run slices,
+  // array slices that dwarf the mask (where the galloping intersect skips
+  // most of the slice) and sparse masks keep AndCardinality.
+  const int s = std::min(num_slices(), 64);
+  std::array<int, 64> cur;
+  std::fill_n(cur.begin(), s, 0);
+  std::optional<ScratchArena::Lease> scratch;
   unsigned __int128 total = 0;
-  for (size_t i = 0; i < slices_.size(); ++i) {
-    total += static_cast<unsigned __int128>(
-                 RoaringBitmap::AndCardinality(slices_[i], mask))
-             << i;
+  for (int m = 0; m < mask.NumContainers(); ++m) {
+    const uint16_t key = mask.KeyAt(m);
+    const Container& mc = mask.ContainerAt(m);
+    const uint64_t* mask_words = mc.BitmapWords();
+    bool sparse_mask = false;  // fewer values than words in its span
+    bool expanded = false;     // scratch words [span_lo, span_hi) hold it
+    int span_lo = 0;
+    int span_hi = 0;
+    for (int i = 0; i < s; ++i) {
+      const RoaringBitmap& slice = slices_[i];
+      int& c = cur[i];
+      while (c < slice.NumContainers() && slice.KeyAt(c) < key) ++c;
+      if (c == slice.NumContainers() || slice.KeyAt(c) != key) continue;
+      const Container& sc = slice.ContainerAt(c);
+      const bool small_array =
+          sc.type() == ContainerType::kArray &&
+          sc.Cardinality() < Container::kGallopRatio * mc.Cardinality();
+      if (small_array && mask_words == nullptr && !sparse_mask) {
+        span_lo = mc.Minimum() >> 6;
+        span_hi = (mc.Maximum() >> 6) + 1;
+        sparse_mask = mc.Cardinality() < span_hi - span_lo;
+        if (!sparse_mask) {
+          if (!scratch.has_value()) scratch.emplace();
+          mc.UnionInto(scratch->words());
+          mask_words = scratch->words();
+          expanded = true;
+        }
+      }
+      uint64_t card = 0;
+      if (small_array && mask_words != nullptr) {
+        sc.ForEach([&card, mask_words](uint16_t v) {
+          card += (mask_words[v >> 6] >> (v & 63)) & 1;
+        });
+      } else {
+        card = static_cast<uint64_t>(Container::AndCardinality(sc, mc));
+      }
+      total += static_cast<unsigned __int128>(card) << i;
+    }
+    if (expanded) {
+      std::fill(scratch->words() + span_lo, scratch->words() + span_hi,
+                uint64_t{0});
+    }
   }
   CHECK(total <= ~uint64_t{0});
   return static_cast<uint64_t>(total);

@@ -134,8 +134,13 @@ class Bsi {
   // Sum of all values: sum_i 2^i * |B^i|.
   uint64_t Sum() const;
 
-  // Sum restricted to positions in `mask` (computed via AndCardinality,
-  // without materializing the filtered BSI).
+  // Sum restricted to positions in `mask`: sum_i 2^i * |B^i AND mask|, in
+  // one pass over the mask's chunks without materializing the filtered BSI.
+  // Array slices bit-test their values against the chunk's mask words when
+  // the mask chunk is a bitmap or holds at least one value per word of its
+  // span; bitmap and run slices, array slices >= kGallopRatio times the
+  // mask chunk, and sparser masks use Container::AndCardinality.
+  // CHECK-fails if the exact total exceeds 2^64 - 1.
   uint64_t SumUnderMask(const RoaringBitmap& mask) const;
 
   // Mean over present positions; 0 if empty.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/bit_util.h"
+#include "common/check.h"
 #include "common/scratch_arena.h"
 #include "common/word_ops.h"
 #include "obs/metrics.h"
@@ -68,6 +69,14 @@ void EmitWords(RoaringBitmap* out, uint16_t key, const uint64_t* words) {
   if (!c.IsEmpty()) out->AppendContainer(key, std::move(c));
 }
 
+// Appends the sorted positions `hits` of chunk `key`, if any.
+void EmitHits(RoaringBitmap* out, uint16_t key,
+              const std::vector<uint16_t>& hits) {
+  if (hits.empty()) return;
+  out->AppendContainer(
+      key, Container::FromSorted(hits.data(), static_cast<int>(hits.size())));
+}
+
 // Reconstructs the value at position `low` from per-chunk slice containers.
 uint64_t ProbeValue(const std::vector<const Container*>& slices, int n,
                     uint16_t low) {
@@ -117,6 +126,39 @@ struct CompareCounters {
     m_probes.Add(probes);
   }
 };
+
+// Top-down three-way partition of one chunk against the constant k (which
+// must fit in s bits), in word space. `eq` enters as the chunk's present
+// positions and leaves holding those whose value equals k so far; `acc`
+// (zeroed by the caller) gathers the positions < k when need_lt, else > k
+// when need_gt, else nothing. words(i) is slice i's word view or nullptr.
+// Returns whether eq is still non-empty; it exits early once eq dies.
+template <typename SliceWords>
+bool PartitionAgainst(const WordOps& ops, int s, uint64_t k, bool need_lt,
+                      bool need_gt, SliceWords&& words, uint64_t* acc,
+                      uint64_t* eq, CompareCounters* counters) {
+  for (int i = s - 1; i >= 0; --i) {
+    const uint64_t* sw = words(i);
+    bool alive;
+    if (((k >> i) & 1) != 0) {
+      if (sw == nullptr) {
+        // Slice is all-zero but k's bit is set: every survivor is < k.
+        if (need_lt) ops.or_pass(acc, eq);
+        return false;
+      }
+      ++counters->word_passes;
+      alive = need_lt ? ops.scalar_one_pass(acc, eq, sw)
+                      : ops.and_pass(eq, sw);
+    } else {
+      if (sw == nullptr) continue;  // all-zero slice, clear bit: no-op
+      ++counters->word_passes;
+      alive = need_gt ? ops.scalar_zero_pass(acc, eq, sw)
+                      : ops.andnot_pass(eq, sw);
+    }
+    if (!alive) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -184,11 +226,7 @@ RoaringBitmap CompareWord(const Bsi& x, const Bsi& y, CmpOp op) {
         }
         if (pass) hits.push_back(v);
       });
-      if (!hits.empty()) {
-        out.AppendContainer(
-            key, Container::FromSorted(hits.data(),
-                                       static_cast<int>(hits.size())));
-      }
+      EmitHits(&out, key, hits);
       continue;
     }
 
@@ -377,11 +415,7 @@ RoaringBitmap RangeWord(const Bsi& x, RangeOp op, uint64_t k) {
         }
         if (pass) hits.push_back(v);
       });
-      if (!hits.empty()) {
-        out.AppendContainer(
-            key, Container::FromSorted(hits.data(),
-                                       static_cast<int>(hits.size())));
-      }
+      EmitHits(&out, key, hits);
       continue;
     }
 
@@ -393,26 +427,12 @@ RoaringBitmap RangeWord(const Bsi& x, RangeOp op, uint64_t k) {
     std::memcpy(eq, mask, kWords * sizeof(uint64_t));
     uint64_t* acc = accbuf.words();  // lt for kLt/kLe, gt for kGt/kGe
     if (need_lt || need_gt) std::fill_n(acc, kWords, 0);
-    bool alive = true;
-    for (int i = s - 1; i >= 0 && alive; --i) {
-      const uint64_t* sw = sc[i] != nullptr ? WordsOf(*sc[i], sbuf) : nullptr;
-      if (((k >> i) & 1) != 0) {
-        if (sw == nullptr) {
-          // Slice is all-zero but k's bit is set: every survivor is < k.
-          if (need_lt) ops.or_pass(acc, eq);
-          alive = false;
-          break;
-        }
-        ++counters.word_passes;
-        alive = need_lt ? ops.scalar_one_pass(acc, eq, sw)
-                        : ops.and_pass(eq, sw);
-      } else {
-        if (sw == nullptr) continue;  // all-zero slice, clear bit: no-op
-        ++counters.word_passes;
-        alive = need_gt ? ops.scalar_zero_pass(acc, eq, sw)
-                        : ops.andnot_pass(eq, sw);
-      }
-    }
+    const bool alive = PartitionAgainst(
+        ops, s, k, need_lt, need_gt,
+        [&](int i) {
+          return sc[i] != nullptr ? WordsOf(*sc[i], sbuf) : nullptr;
+        },
+        acc, eq, &counters);
     switch (op) {
       case RangeOp::kLt:
       case RangeOp::kGt:
@@ -435,6 +455,83 @@ RoaringBitmap RangeWord(const Bsi& x, RangeOp op, uint64_t k) {
           EmitWords(&out, key, resbuf.words());
         }
         break;
+    }
+  }
+  counters.PublishRange();
+  return out;
+}
+
+std::vector<RoaringBitmap> RangeLeEach(const Bsi& x, uint64_t k_lo,
+                                       uint64_t k_hi) {
+  CHECK_GE(k_lo, uint64_t{1});
+  CHECK_LE(k_lo, k_hi);
+  std::vector<RoaringBitmap> out(k_hi - k_lo + 1);
+  if (x.IsEmpty()) return out;
+  const int s = x.num_slices();
+  const RoaringBitmap& ex = x.existence();
+  // Constants at or above 2^s bound every present value (RangeWord's
+  // shortcut); only the ones below need a scan.
+  uint64_t n = out.size();
+  if (s < 64 && k_hi >> s != 0) {
+    const uint64_t top = uint64_t{1} << s;
+    n = k_lo >= top ? 0 : top - k_lo;
+    for (uint64_t j = n; j < out.size(); ++j) out[j] = ex;
+  }
+  if (n == 0) return out;
+
+  const WordOps& ops = ActiveWordOps();
+  SliceCursor cur(x);
+  std::vector<const Container*> sc(s);
+  std::vector<const uint64_t*> sw(s);
+  // Leased on the first dense chunk: one per slice, then mask, eq and lt.
+  std::vector<ScratchArena::Lease> bufs;
+  std::vector<std::vector<uint16_t>> hits(n);
+  CompareCounters counters;
+
+  for (int c = 0; c < ex.NumContainers(); ++c) {
+    const uint16_t key = ex.KeyAt(c);
+    const Container& exc = ex.ContainerAt(c);
+    for (int i = 0; i < s; ++i) sc[i] = cur.At(i, key);
+
+    if (exc.Cardinality() <= kSparseCompareMax) {
+      // Probe each position's value once; it passes every constant >= it.
+      ++counters.chunks_sparse;
+      counters.probes += static_cast<uint64_t>(exc.Cardinality());
+      for (std::vector<uint16_t>& h : hits) h.clear();
+      exc.ForEach([&](uint16_t v) {
+        const uint64_t val = ProbeValue(sc, s, v);
+        for (uint64_t j = val > k_lo ? val - k_lo : 0; j < n; ++j) {
+          hits[j].push_back(v);
+        }
+      });
+      for (uint64_t j = 0; j < n; ++j) EmitHits(&out[j], key, hits[j]);
+      continue;
+    }
+
+    // Each slice's word view is built once per chunk; the <= partition
+    // then runs once per constant over those views.
+    ++counters.chunks_word;
+    if (bufs.empty()) bufs.resize(s + 3);
+    for (int i = 0; i < s; ++i) {
+      sw[i] = sc[i] != nullptr ? WordsOf(*sc[i], bufs[i]) : nullptr;
+    }
+    const uint64_t* mask = WordsOf(exc, bufs[s]);
+    uint64_t* eq = bufs[s + 1].words();
+    uint64_t* lt = bufs[s + 2].words();
+    const int w_lo = exc.Minimum() >> 6;
+    const int w_hi = (exc.Maximum() >> 6) + 1;
+    for (uint64_t j = 0; j < n; ++j) {
+      const uint64_t k = k_lo + j;
+      std::memcpy(eq, mask, kWords * sizeof(uint64_t));
+      std::fill_n(lt, kWords, 0);
+      if (PartitionAgainst(
+              ops, s, k, /*need_lt=*/true, /*need_gt=*/false,
+              [&sw](int i) { return sw[i]; }, lt, eq, &counters)) {
+        ops.or_pass(lt, eq);
+      }
+      // lt lies inside the chunk's positions: convert only their words.
+      Container le = Container::FromWordsRange(lt, w_lo, w_hi);
+      if (!le.IsEmpty()) out[j].AppendContainer(key, std::move(le));
     }
   }
   counters.PublishRange();
@@ -544,11 +641,7 @@ RoaringBitmap RangeBetweenWord(const Bsi& x, uint64_t lo, uint64_t hi) {
         const uint64_t val = ProbeValue(sc, s, v);
         if (lo <= val && val <= hi) hits.push_back(v);
       });
-      if (!hits.empty()) {
-        out.AppendContainer(
-            key, Container::FromSorted(hits.data(),
-                                       static_cast<int>(hits.size())));
-      }
+      EmitHits(&out, key, hits);
       continue;
     }
 

@@ -2,6 +2,7 @@
 #define EXPBSI_BSI_BSI_COMPARE_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "bsi/bsi.h"
 
@@ -41,6 +42,14 @@ enum class RangeOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 RoaringBitmap RangeWord(const Bsi& x, RangeOp op, uint64_t k);
 RoaringBitmap RangePairwise(const Bsi& x, RangeOp op, uint64_t k);
+
+// RangeWord(x, kLe, k) for every k in [k_lo, k_hi] (1 <= k_lo <= k_hi):
+// element k - k_lo holds the present positions with value <= k. Each chunk
+// reads each slice once: sparse chunks probe every position's value once
+// and hand it to all the constants it passes, dense chunks build each
+// slice's word view once and run the top-down partition per constant.
+std::vector<RoaringBitmap> RangeLeEach(const Bsi& x, uint64_t k_lo,
+                                       uint64_t k_hi);
 
 // Present positions with lo <= value <= hi (lo <= hi, hi >= 1). The word
 // form partitions against both bounds in ONE top-down pass per chunk --

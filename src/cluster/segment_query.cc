@@ -113,19 +113,7 @@ Result<bool> ExecuteSegmentQuery(TieredStore& tier, int seg,
     if (oc.value() == FetchOutcome::kLost) return false;
     if (oc.value() == FetchOutcome::kAbsent) continue;
     StrategyMasks sm;
-    sm.by_day.reserve(date_hi - date_lo + 1);
-    for (Date d = date_lo; d <= date_hi; ++d) {
-      if (sm.by_day.empty()) {
-        sm.by_day.push_back(expose->ExposedOnOrBefore(d));
-      } else {
-        // Each unit exposes once, so day d's mask is day d-1's mask plus
-        // the (disjoint) units first exposed on day d -- one small
-        // incremental union instead of a full slice-descent per day.
-        RoaringBitmap mask = sm.by_day.back();
-        mask.OrInPlace(expose->ExposedBetween(d, d));
-        sm.by_day.push_back(std::move(mask));
-      }
-    }
+    sm.by_day = expose->ExposedOnOrBeforeEachDay(date_lo, date_hi);
     sm.exposed_by_hi = sm.by_day.back().Cardinality();
     masks[si].emplace(std::move(sm));
   }

@@ -1,5 +1,8 @@
 #include "engine/scorecard.h"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -80,10 +83,11 @@ ExposeMaskCache ExposeMaskCache::Build(const ExperimentBsiData& data,
   for (int seg = 0; seg < data.num_segments; ++seg) {
     const ExposeBsi* expose = data.segments[seg].FindExpose(strategy_id);
     if (expose == nullptr) continue;
-    for (Date date = date_lo; date <= date_hi; ++date) {
-      cache.masks_[static_cast<size_t>(seg) * cache.num_days_ +
-                   (date - date_lo)] = expose->ExposedOnOrBefore(date);
-    }
+    std::vector<RoaringBitmap> by_day =
+        expose->ExposedOnOrBeforeEachDay(date_lo, date_hi);
+    std::move(by_day.begin(), by_day.end(),
+              cache.masks_.begin() +
+                  static_cast<ptrdiff_t>(seg) * cache.num_days_);
   }
   return cache;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "bsi/bsi_compare.h"
 #include "common/byte_io.h"
 #include "common/check.h"
 #include "expdata/segmenter.h"
@@ -30,6 +31,22 @@ Result<Bsi> ReadBsi(ByteReader* r) {
 RoaringBitmap ExposeBsi::ExposedOnOrBefore(Date date) const {
   if (date < min_expose_date) return RoaringBitmap();
   return offset.RangeLe(static_cast<uint64_t>(date - min_expose_date) + 1);
+}
+
+std::vector<RoaringBitmap> ExposeBsi::ExposedOnOrBeforeEachDay(
+    Date lo, Date hi) const {
+  CHECK_LE(lo, hi);
+  if (hi < min_expose_date) {
+    return std::vector<RoaringBitmap>(static_cast<size_t>(hi - lo) + 1);
+  }
+  // Days before min_expose_date expose nobody; day d >= min_expose_date is
+  // the range search offset <= d - min_expose_date + 1.
+  const Date first = std::max(lo, min_expose_date);
+  std::vector<RoaringBitmap> masks = bsi_compare::RangeLeEach(
+      offset, static_cast<uint64_t>(first - min_expose_date) + 1,
+      static_cast<uint64_t>(hi - min_expose_date) + 1);
+  masks.insert(masks.begin(), first - lo, RoaringBitmap());
+  return masks;
 }
 
 RoaringBitmap ExposeBsi::ExposedBetween(Date from, Date to) const {

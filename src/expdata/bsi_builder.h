@@ -30,6 +30,10 @@ struct ExposeBsi {
   // "expose-date <= t2.date" filter rewritten as a range search on offset).
   RoaringBitmap ExposedOnOrBefore(Date date) const;
 
+  // ExposedOnOrBefore(d) for every day d in [lo, hi] (lo <= hi), at index
+  // d - lo, from one pass over the offset BSI instead of one per day.
+  std::vector<RoaringBitmap> ExposedOnOrBeforeEachDay(Date lo, Date hi) const;
+
   // Units first exposed in [from, to] relative to min_expose_date as
   // absolute dates (the paper's "first exposed between 2nd and 5th day").
   RoaringBitmap ExposedBetween(Date from, Date to) const;

@@ -119,6 +119,12 @@ RoaringBitmap ApplyPredicate(const Bsi& bsi, const QueryPredicate& pred,
   return ApplyRange(bsi, pred.op, pred.constant);
 }
 
+bool HasAggregate(const Query& query, QueryAggregate::Func func) {
+  return std::any_of(
+      query.aggregates.begin(), query.aggregates.end(),
+      [func](const QueryAggregate& a) { return a.func == func; });
+}
+
 // Execution state of one (segment, scan-day) cell. Expose sources have a
 // single cell per segment (the expose log is not dated).
 struct SegmentScan {
@@ -295,12 +301,14 @@ Result<QueryResult> ExecuteQuery(const ExperimentBsiData& data,
   static obs::Counter& scanned = obs::GetCounter("query.segment_scans");
   scanned.Add(static_cast<uint64_t>(data.num_segments) * days.size());
 
-  const bool needs_quantile = std::any_of(
-      query.aggregates.begin(), query.aggregates.end(),
-      [](const QueryAggregate& a) {
-        return a.func == QueryAggregate::Func::kMedian ||
-               a.func == QueryAggregate::Func::kQuantile;
-      });
+  // Min/max, uv and quantiles each add per-scan work beyond the masked sum
+  // and count, done only when an aggregate asks for it.
+  const bool needs_extrema = HasAggregate(query, QueryAggregate::Func::kMin) ||
+                             HasAggregate(query, QueryAggregate::Func::kMax);
+  const bool needs_uv = HasAggregate(query, QueryAggregate::Func::kUv);
+  const bool needs_quantile =
+      HasAggregate(query, QueryAggregate::Func::kMedian) ||
+      HasAggregate(query, QueryAggregate::Func::kQuantile);
   std::vector<MaskedBsi> quantile_inputs;
 
   double total_sum = 0.0;
@@ -320,19 +328,23 @@ Result<QueryResult> ExecuteQuery(const ExperimentBsiData& data,
         if (scan.source == nullptr || scan.mask.IsEmpty()) continue;
         total_sum += static_cast<double>(scan.source->SumUnderMask(scan.mask));
         total_count += static_cast<double>(scan.mask.Cardinality());
-        distinct_acc.Add(scan.mask);
-        const Bsi filtered = Bsi::MultiplyByBinary(*scan.source, scan.mask);
-        if (!filtered.IsEmpty()) {
-          any_value = true;
-          global_min = std::min(global_min, filtered.MinValue());
-          global_max = std::max(global_max, filtered.MaxValue());
+        if (needs_uv) distinct_acc.Add(scan.mask);
+        if (needs_extrema) {
+          const Bsi filtered = Bsi::MultiplyByBinary(*scan.source, scan.mask);
+          if (!filtered.IsEmpty()) {
+            any_value = true;
+            global_min = std::min(global_min, filtered.MinValue());
+            global_max = std::max(global_max, filtered.MaxValue());
+          }
         }
         if (needs_quantile) {
           quantile_inputs.push_back(MaskedBsi{scan.source, &scan.mask});
         }
       }
       // Positions are segment-local, so distinct counts add across segments.
-      total_uv += static_cast<double>(distinct_acc.Finish().Cardinality());
+      if (needs_uv) {
+        total_uv += static_cast<double>(distinct_acc.Finish().Cardinality());
+      }
     }
     agg_span.AddAttr("quantile_inputs",
                      static_cast<uint64_t>(quantile_inputs.size()));

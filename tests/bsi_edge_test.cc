@@ -1,16 +1,19 @@
 // Edge-case coverage for the in-BSI aggregates, paired with the scalar
 // oracle (RefColumn) so each behavior is pinned down by two independent
 // implementations: empty input, a single position, all-equal values, values
-// at the 64-bit slice boundary, and the documented abort-on-overflow
-// contract of Sum / SumUnderMask.
+// at the 64-bit slice boundary, the documented abort-on-overflow contract
+// of Sum / SumUnderMask, and SumUnderMask's scratch-buffer hygiene.
 
+#include <atomic>
 #include <cstdint>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bsi/bsi.h"
+#include "obs/metrics.h"
 #include "reference/ref_column.h"
 #include "roaring/roaring_bitmap.h"
 
@@ -132,6 +135,44 @@ TEST(BsiEdgeTest, SumOverflowAborts) {
       Bsi::FromPairs({{1, uint64_t{1} << 63}, {2, (uint64_t{1} << 63) - 1}});
   EXPECT_EQ(fits.Sum(), ~uint64_t{0});
 }
+
+TEST(BsiEdgeTest, SumUnderMaskAboveSixtyFourSlices) {
+  // Arithmetic can grow a BSI past 64 slices. Such a slice only matters to
+  // a masked sum when the mask reaches it, and then the total overflows.
+  const Bsi wide = Bsi::ShiftLeft(Bsi::FromPairs({{3, 1}, {8, 5}}), 70);
+  ASSERT_EQ(wide.num_slices(), 73);
+  EXPECT_EQ(wide.SumUnderMask(RoaringBitmap::FromSorted({1, 2, 9})), 0u);
+  EXPECT_DEATH(wide.SumUnderMask(RoaringBitmap::FromSorted({8})),
+               "CHECK failed");
+}
+
+#if !defined(EXPBSI_NO_METRICS)
+TEST(BsiEdgeTest, SumUnderMaskScratchFreedOnThreadExit) {
+  // The masked sum bit-tests array slices against the mask's words, which
+  // an array mask sets into a leased scratch buffer. Serving runs one
+  // handler thread per connection, so a buffer that outlived its thread
+  // would leak 8 KiB per connection: every thread's pool must be returned
+  // when the thread exits.
+  const Bsi bsi = Bsi::FromPairs({{1, 5}, {9, 3}, {40, 6}, {70, 1}});
+  const RoaringBitmap mask = RoaringBitmap::FromSorted({1, 9, 50, 70});
+  ASSERT_EQ(bsi.slice(0).ContainerAt(0).type(), ContainerType::kArray);
+  ASSERT_EQ(mask.ContainerAt(0).type(), ContainerType::kArray);
+  const obs::Gauge& pooled = obs::GetGauge("arena.pooled_bytes");
+  const obs::Counter& leases = obs::GetCounter("arena.leases");
+  const double pooled_before = pooled.Value();
+  const uint64_t leases_before = leases.Value();
+  constexpr int kThreads = 256;
+  std::atomic<int> wrong{0};
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([&] {
+      if (bsi.SumUnderMask(mask) != 5 + 3 + 1) wrong.fetch_add(1);
+    }).join();
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GE(leases.Value() - leases_before, uint64_t{kThreads});
+  EXPECT_EQ(pooled.Value(), pooled_before);
+}
+#endif  // !EXPBSI_NO_METRICS
 
 }  // namespace
 }  // namespace expbsi

@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -35,6 +37,7 @@
 #include "engine/experiment_data.h"
 #include "engine/preexperiment.h"
 #include "engine/scorecard.h"
+#include "expdata/bsi_builder.h"
 #include "query/executor.h"
 #include "reference/ref_column.h"
 #include "reference/ref_data.h"
@@ -417,6 +420,181 @@ TEST(DifferentialTest, ColumnOpsMatchScalarOracle) {
 }
 
 // ---------------------------------------------------------------------------
+// Masked sums: every (mask container type x slice container type) pair.
+// ---------------------------------------------------------------------------
+
+// Container layouts the sweep steers masks and value slices into.
+enum class Layout { kArray, kBitmap, kRun };
+
+ContainerType TypeOf(Layout layout) {
+  switch (layout) {
+    case Layout::kArray:
+      return ContainerType::kArray;
+    case Layout::kBitmap:
+      return ContainerType::kBitmap;
+    case Layout::kRun:
+      return ContainerType::kRun;
+  }
+  return ContainerType::kArray;
+}
+
+const char* LayoutName(Layout layout) {
+  switch (layout) {
+    case Layout::kArray:
+      return "array";
+    case Layout::kBitmap:
+      return "bitmap";
+    case Layout::kRun:
+      return "run";
+  }
+  return "?";
+}
+
+// Positions of 2^16 chunk `chunk` laid out for `layout`: up to 3,000
+// scattered positions (array), 12,000+ scattered positions (bitmap) or a few
+// long ranges (run, once run-optimized).
+std::set<uint32_t> ChunkPositions(Rng& rng, Layout layout, uint32_t chunk) {
+  const uint32_t base = chunk << 16;
+  std::set<uint32_t> out;
+  switch (layout) {
+    case Layout::kArray: {
+      const int n = 1 + static_cast<int>(rng.NextBounded(3000));
+      for (int i = 0; i < n; ++i) {
+        out.insert(base + static_cast<uint32_t>(rng.NextBounded(1u << 16)));
+      }
+      break;
+    }
+    case Layout::kBitmap: {
+      const int n = 12000 + static_cast<int>(rng.NextBounded(20000));
+      for (int i = 0; i < n; ++i) {
+        out.insert(base + static_cast<uint32_t>(rng.NextBounded(1u << 16)));
+      }
+      break;
+    }
+    case Layout::kRun: {
+      const int runs = 1 + static_cast<int>(rng.NextBounded(4));
+      for (int r = 0; r < runs; ++r) {
+        const uint32_t start =
+            static_cast<uint32_t>(rng.NextBounded(60000));
+        const uint32_t len = 100 + static_cast<uint32_t>(rng.NextBounded(5000));
+        for (uint32_t i = start; i < std::min(start + len, 1u << 16); ++i) {
+          out.insert(base + i);
+        }
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+// A column over chunks 0, 1 and 3 whose slices take `layout`. Chunk 1 holds
+// only values 1..3, so every slice above bit 1 lacks its key. Run layouts
+// give each range one value, so each slice is a union of ranges.
+std::vector<std::pair<uint32_t, uint64_t>> LayoutColumn(Rng& rng,
+                                                        Layout layout) {
+  std::vector<std::pair<uint32_t, uint64_t>> pairs;
+  for (const uint32_t chunk : {0u, 1u, 3u}) {
+    const uint64_t cap = chunk == 1 ? 3 : uint64_t{1} << 12;
+    uint64_t run_value = 1 + rng.NextBounded(cap);
+    uint32_t prev = 0;
+    for (const uint32_t pos : ChunkPositions(rng, layout, chunk)) {
+      if (layout != Layout::kRun) {
+        pairs.emplace_back(pos, 1 + rng.NextBounded(cap));
+        continue;
+      }
+      if (pos != prev + 1) run_value = 1 + rng.NextBounded(cap);
+      pairs.emplace_back(pos, run_value);
+      prev = pos;
+    }
+  }
+  return pairs;
+}
+
+bool HasContainerType(const RoaringBitmap& b, ContainerType type) {
+  for (int c = 0; c < b.NumContainers(); ++c) {
+    if (b.ContainerAt(c).type() == type) return true;
+  }
+  return false;
+}
+
+void ExpectMaskedSum(const Bsi& x, const RefColumn& rx,
+                     const std::vector<uint32_t>& mask_positions,
+                     bool run_optimize, const std::string& ctx) {
+  RoaringBitmap mask = RoaringBitmap::FromSorted(mask_positions);
+  if (run_optimize) mask.RunOptimize();
+  EXPECT_EQ(x.SumUnderMask(mask), rx.SumUnderMask(mask_positions)) << ctx;
+}
+
+void RunMaskedSumIteration(uint64_t seed, Layout mask_layout,
+                           Layout slice_layout) {
+  Rng rng(seed);
+  const std::string ctx =
+      Ctx(seed, std::string("masked sum mask=") + LayoutName(mask_layout) +
+                    " slices=" + LayoutName(slice_layout));
+  const auto pairs = LayoutColumn(rng, slice_layout);
+  auto [x, rx] = BuildBoth(pairs);
+  if (slice_layout == Layout::kRun) x.RunOptimize();
+  bool slice_type_seen = false;
+  for (int i = 0; i < x.num_slices(); ++i) {
+    slice_type_seen |= HasContainerType(x.slice(i), TypeOf(slice_layout));
+  }
+  ASSERT_TRUE(slice_type_seen) << ctx;
+
+  // A mask over at least two of chunks {0, 1, 2, 3, 5}: chunk 2 is absent
+  // from every slice and chunk 5 lies beyond the last key of all of them.
+  std::set<uint32_t> mask_set;
+  std::vector<uint32_t> chunks;
+  for (const uint32_t chunk : {0u, 1u, 2u, 3u, 5u}) {
+    if (rng.NextBernoulli(0.6)) chunks.push_back(chunk);
+  }
+  for (const uint32_t chunk : {0u, 5u}) {
+    if (chunks.size() < 2) chunks.push_back(chunk);
+  }
+  for (const uint32_t chunk : chunks) {
+    const std::set<uint32_t> part = ChunkPositions(rng, mask_layout, chunk);
+    mask_set.insert(part.begin(), part.end());
+  }
+  const std::vector<uint32_t> mask_positions(mask_set.begin(),
+                                             mask_set.end());
+  const bool run_mask = mask_layout == Layout::kRun;
+  RoaringBitmap mask = RoaringBitmap::FromSorted(mask_positions);
+  if (run_mask) mask.RunOptimize();
+  ASSERT_TRUE(HasContainerType(mask, TypeOf(mask_layout))) << ctx;
+  ExpectMaskedSum(x, rx, mask_positions, run_mask, ctx);
+
+  // Degenerate masks: one present position, one absent position, the
+  // column's own existence, empty; and an empty column under the mask.
+  const uint32_t present =
+      pairs[static_cast<size_t>(rng.NextBounded(pairs.size()))].first;
+  ExpectMaskedSum(x, rx, {present}, false, ctx + " 1-value present");
+  ExpectMaskedSum(x, rx, {(2u << 16) + 7}, false, ctx + " 1-value absent");
+  ExpectMaskedSum(x, rx, rx.Existence(), run_mask, ctx + " existence");
+  ExpectMaskedSum(x, rx, {}, false, ctx + " empty mask");
+  ExpectMaskedSum(Bsi(), RefColumn(), mask_positions, run_mask,
+                  ctx + " empty column");
+}
+
+// Seeded masks of every container type against slices of every container
+// type, so each branch of the fused masked sum (bit-test against the mask's
+// words, galloping and bitmap AndCardinality, chunks missing from a slice)
+// faces the oracle. ColumnOpsMatchScalarOracle only builds array masks.
+TEST(DifferentialTest, SumUnderMaskAcrossMaskAndSliceTypes) {
+  for (const Layout mask_layout :
+       {Layout::kArray, Layout::kBitmap, Layout::kRun}) {
+    for (const Layout slice_layout :
+         {Layout::kArray, Layout::kBitmap, Layout::kRun}) {
+      const uint64_t base = 0x5A5Dull ^
+                            (static_cast<uint64_t>(mask_layout) << 8) ^
+                            static_cast<uint64_t>(slice_layout);
+      for (const uint64_t seed : SeedSchedule(base, 4)) {
+        RunMaskedSumIteration(seed, mask_layout, slice_layout);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Compare kernels: correlated workloads, swept over every (compare kernel,
 // SIMD dispatch tier) combination the host supports.
 // ---------------------------------------------------------------------------
@@ -460,6 +638,60 @@ void RunCompareIteration(uint64_t seed, const std::string& label) {
   }
 }
 
+// Per-day expose masks: ExposedOnOrBeforeEachDay(lo, hi)[d - lo] must equal
+// ExposedOnOrBefore(d) for every day. The offsets fill a sparse chunk (<512
+// positions, the probe path), an array chunk and a bitmap chunk (the word
+// path), a range straddling the chunk 3/4 boundary and constant-offset
+// ranges that run-optimize into run slices. Windows start before, at and
+// after min_expose_date, include lo == hi, and reach past the top offset.
+void RunExposeDaysIteration(uint64_t seed, const std::string& label) {
+  Rng rng(seed);
+  const std::string ctx = Ctx(seed, "expose days[" + label + "]");
+  const uint64_t num_days = 1 + rng.NextBounded(12);
+  std::map<uint32_t, uint64_t> offsets;
+  const auto add = [&](uint32_t pos) {
+    offsets[pos] = 1 + rng.NextBounded(num_days);
+  };
+  const auto scatter = [&](uint32_t chunk, int n) {
+    for (int i = 0; i < n; ++i) {
+      add((chunk << 16) + static_cast<uint32_t>(rng.NextBounded(1u << 16)));
+    }
+  };
+  scatter(0, 1 + static_cast<int>(rng.NextBounded(500)));
+  scatter(1, 600 + static_cast<int>(rng.NextBounded(3000)));
+  scatter(2, 12000 + static_cast<int>(rng.NextBounded(20000)));
+  const uint32_t straddle =
+      (4u << 16) - 1 - static_cast<uint32_t>(rng.NextBounded(1500));
+  for (uint32_t i = 0; i < 2000; ++i) add(straddle + i);
+  for (int r = 0; r < 3; ++r) {
+    const uint32_t start =
+        (5u << 16) + static_cast<uint32_t>(rng.NextBounded(60000));
+    const uint64_t v = 1 + rng.NextBounded(num_days);
+    for (uint32_t i = 0; i < 800; ++i) offsets[start + i] = v;
+  }
+  ExposeBsi expose;
+  expose.min_expose_date = 1000;
+  expose.offset = Bsi::FromPairs({offsets.begin(), offsets.end()});
+  if (rng.NextBernoulli(0.5)) expose.offset.RunOptimize();
+
+  const Date min = expose.min_expose_date;
+  const Date starts[] = {min - 1 - static_cast<Date>(rng.NextBounded(3)), min,
+                         min + static_cast<Date>(rng.NextBounded(num_days))};
+  for (const Date lo : starts) {
+    for (const Date hi :
+         {lo, lo + static_cast<Date>(rng.NextBounded(num_days + 20))}) {
+      const std::vector<RoaringBitmap> each =
+          expose.ExposedOnOrBeforeEachDay(lo, hi);
+      ASSERT_EQ(each.size(), static_cast<size_t>(hi - lo) + 1) << ctx;
+      for (Date d = lo; d <= hi; ++d) {
+        EXPECT_EQ(each[d - lo].ToVector(),
+                  expose.ExposedOnOrBefore(d).ToVector())
+            << ctx << " window [" << lo << "," << hi << "] day " << d;
+      }
+    }
+  }
+}
+
 // Forces each dispatch tier the host supports (portable always runs; AVX2 /
 // AVX-512 only where detected -- CI hosts without them skip those legs) and
 // both compare kernels, so the word path, the legacy pairwise path, and
@@ -483,6 +715,7 @@ TEST(DifferentialTest, CompareKernelsAcrossKernelAndSimdTiers) {
                             static_cast<uint64_t>(kernel);
       for (const uint64_t seed : SeedSchedule(base, 12)) {
         RunCompareIteration(seed, label);
+        RunExposeDaysIteration(seed, label);
         if (HasFatalFailure()) {
           SetMultiOpKernel(saved_kernel);
           SetSimdTierForTesting(saved_tier);
