@@ -71,7 +71,6 @@ int main() {
   // --- Ad-hoc cluster (Fig. 8) ----------------------------------------------
   AdhocClusterConfig cluster_config;
   cluster_config.num_nodes = 4;
-  cluster_config.threads_per_node = 4;
   AdhocCluster cluster(&dataset, &bsi, cluster_config);
   std::printf("\nad-hoc cluster: %zu blobs / %.1f MB in the cold warehouse\n",
               cluster.cold_store().NumBlobs(),

@@ -15,6 +15,12 @@ Rules (RULES below), each with the files allowed to hold the concept:
     only place masked sums and counts fold into per-bucket replicates
     (DESIGN.md §4).  Only src/bsi/bsi_group_by.*, that file and the scalar
     oracle in src/reference/ may call GroupSumByBucket or GroupCountByBucket.
+  * one scatter/gather -- net::Coordinator is the only scatter/gather
+    (DESIGN.md §5, §9): only src/net/coordinator.cc merges per-segment
+    partials into a scorecard (calls StoreSegmentPartial), and only
+    ExecuteQueryRequest in src/cluster/segment_query.cc, the node-side
+    execution both node links run, calls ExecuteSegmentQuery.  Both are
+    defined in src/cluster/segment_query.*.
 
 Comments are stripped before matching.
 
@@ -47,9 +53,13 @@ READER_RE = re.compile(r"\b(?:class|struct)\s+ByteReader\b\s*(?:final\s*)?[:{]")
 SCALAR_BYTES_RE = re.compile(r"reinterpret_cast<\s*const\s+char\s*\*\s*>\s*\(\s*&")
 GROUP_BY_CALL_RE = re.compile(
     r"\b(?P<name>GroupSumByBucket|GroupCountByBucket)\s*\(")
+MERGE_CALL_RE = re.compile(r"\b(?P<name>StoreSegmentPartial)\s*\(")
+EXECUTE_CALL_RE = re.compile(r"\b(?P<name>ExecuteSegmentQuery)\s*\(")
 
 FOLD_FILES = {P("bsi/bsi_group_by.h"), P("bsi/bsi_group_by.cc"),
               P("engine/experiment_data.cc")}
+SEGMENT_QUERY_FILES = {P("cluster/segment_query.h"),
+                       P("cluster/segment_query.cc")}
 
 RULES = (
     Rule(
@@ -72,6 +82,29 @@ RULES = (
         fix="fold through FoldIntoBuckets (engine/experiment_data.h) instead",
         ok="bucket fold lint: FoldIntoBuckets in "
            "src/engine/experiment_data.cc is the only bucket fold",
+    ),
+    Rule(
+        anchor=P("net/coordinator.cc"),
+        allowed=lambda rel: (rel in SEGMENT_QUERY_FILES or
+                             rel == P("net/coordinator.cc")),
+        patterns=(
+            (MERGE_CALL_RE, "name", lambda m: f"calls {m.group('name')}"),
+        ),
+        fix="scatter and gather through net::Coordinator (an in-process "
+            "cluster uses its in-process node link) instead",
+        ok="scatter/gather lint: net::Coordinator in src/net/coordinator.cc "
+           "is the only scatter/gather",
+    ),
+    Rule(
+        anchor=P("cluster/segment_query.cc"),
+        allowed=lambda rel: rel in SEGMENT_QUERY_FILES,
+        patterns=(
+            (EXECUTE_CALL_RE, "name", lambda m: f"calls {m.group('name')}"),
+        ),
+        fix="execute node requests through ExecuteQueryRequest "
+            "(cluster/segment_query.h) instead",
+        ok="node execution lint: ExecuteQueryRequest in "
+           "src/cluster/segment_query.cc is the only node-side execution",
     ),
 )
 

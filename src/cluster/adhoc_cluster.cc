@@ -1,18 +1,10 @@
 #include "cluster/adhoc_cluster.h"
 
 #include <algorithm>
-#include <optional>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "cluster/segment_query.h"
 #include "common/check.h"
-#include "common/fault_injector.h"
 #include "common/timer.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/postmortem.h"
+#include "net/coordinator.h"
 #include "obs/trace.h"
 #include "wal/ingest_store.h"
 
@@ -137,7 +129,6 @@ AdhocCluster::AdhocCluster(const Dataset* dataset,
                            AdhocClusterConfig config)
     : dataset_(dataset), bsi_(bsi), config_(std::move(config)) {
   CHECK_GT(config_.num_nodes, 0);
-  CHECK_GT(config_.threads_per_node, 0);
   if (dataset_ != nullptr) CHECK(dataset_->config.bucket_equals_segment);
 
   if (config_.ingest != nullptr) {
@@ -201,272 +192,42 @@ AdhocCluster::AdhocCluster(const Dataset* dataset,
     normal_index_ =
         std::make_unique<NormalDataIndex>(NormalDataIndex::Build(*dataset_));
   }
-  node_tiers_.reserve(config_.num_nodes);
-  for (int n = 0; n < config_.num_nodes; ++n) {
-    node_tiers_.push_back(std::make_unique<TieredStore>(
-        &cold_, config_.hot_capacity_bytes_per_node));
-  }
-  // Same rendezvous primaries as the network Coordinator, so the two
-  // serving paths agree on which node owns a segment. R is 1 here: the
-  // in-process nodes share one warehouse, so crash requeue can already use
-  // any survivor (and primaries are independent of R anyway).
-  placement_ = std::make_unique<Placement>(
-      config_.num_nodes, std::max(num_segments_, 0),
-      /*replication_factor=*/1);
+
+  net::InProcessNodes nodes;
+  nodes.warehouse = &cold_;
+  nodes.num_nodes = config_.num_nodes;
+  nodes.hot_capacity_bytes = config_.hot_capacity_bytes_per_node;
+  nodes.retry = config_.retry;
+  nodes.lost_segments = recovery_lost_segments_;
+  // The network coordinator over an in-process link. Every node reads the
+  // same warehouse, so every node replicates every segment (R = num_nodes):
+  // primaries are the rendezvous primaries the fleet uses, and a crashed
+  // node's segments fail over to their next rendezvous replica.
+  net::CoordinatorOptions options;
+  options.num_segments = num_segments_;
+  options.replication_factor = config_.num_nodes;
+  options.allow_degraded = config_.allow_degraded;
+  options.postmortem_dir = config_.postmortem_dir;
+  coordinator_ =
+      std::make_unique<net::Coordinator>(std::move(options), std::move(nodes));
+}
+
+AdhocCluster::~AdhocCluster() = default;
+
+int AdhocCluster::NodeOfSegment(int segment) const {
+  return coordinator_->placement().PrimaryOf(segment);
 }
 
 Result<AdhocCluster::QueryStats> AdhocCluster::QueryBsi(
     const std::vector<uint64_t>& strategy_ids,
     const std::vector<uint64_t>& metric_ids, Date date_lo, Date date_hi) {
   CHECK_LE(date_lo, date_hi);
-  Result<QueryStats> result =
-      QueryBsiInternal(strategy_ids, metric_ids, date_lo, date_hi);
-  if (!result.ok()) return result;
-  // The internal call's ScopedTrace has closed: the root span is final and
-  // the slow-query check has run before the bundle freezes the trace.
-  MaybeWritePostmortem(&result.value());
-  return result;
-}
-
-Result<AdhocCluster::QueryStats> AdhocCluster::QueryBsiInternal(
-    const std::vector<uint64_t>& strategy_ids,
-    const std::vector<uint64_t>& metric_ids, Date date_lo, Date date_hi) {
-  QueryStats stats;
-  stats.trace = std::make_shared<obs::QueryTrace>("adhoc_query_bsi");
-  obs::ScopedTrace install_trace(stats.trace.get());
-  static obs::Counter& queries = obs::GetCounter("cluster.queries");
-  queries.Add();
-  obs::FlightRecorder::Global().Record(
-      obs::FlightEventKind::kQueryAdmit,
-      static_cast<uint64_t>(num_segments_));
-  const int num_segments = num_segments_;
   if (!recovery_lost_segments_.empty() && !config_.allow_degraded) {
     return Status::Corruption(
         "adhoc cluster: warehouse recovered with lost segments; strict mode "
         "refuses to serve a biased scorecard");
   }
-  FaultInjector* const fi = FaultInjector::Get();
-
-  // Per-pair per-segment partials, assembled as node waves complete.
-  std::map<StrategyMetricPair, BucketValues> partials =
-      MakeSegmentPartials(strategy_ids, metric_ids, num_segments);
-
-  // Per-segment execution lives in cluster/segment_query.* and is shared
-  // with the remote NodeServer, so the two serving paths cannot drift.
-  auto process_segment = [&](TieredStore& tier, int seg,
-                             SegPartial* out) -> Result<bool> {
-    SegmentExecStats exec;
-    Result<bool> r = ExecuteSegmentQuery(
-        tier, seg, strategy_ids, metric_ids, date_lo, date_hi, config_.retry,
-        config_.allow_degraded, out, &exec);
-    stats.degraded.retries += exec.retries;
-    stats.degraded.faults_survived += exec.faults_survived;
-    return r;
-  };
-
-  // Segment ownership; requeued segments land on survivors in later waves.
-  // Segments the snapshot recovery lost are pre-marked degraded instead of
-  // being scheduled (their warehouse blobs are quarantined on disk).
-  const std::unordered_set<int> recovery_lost(
-      recovery_lost_segments_.begin(), recovery_lost_segments_.end());
-  std::vector<std::vector<int>> assignment(config_.num_nodes);
-  for (int seg = 0; seg < num_segments; ++seg) {
-    if (recovery_lost.count(seg) > 0) continue;
-    assignment[NodeOfSegment(seg)].push_back(seg);
-  }
-  std::vector<bool> alive(config_.num_nodes, true);
-  std::vector<int> lost_segments = recovery_lost_segments_;
-  std::set<int> requeued_segments;  // for faults_survived accounting
-  double total_latency = 0.0;
-  int wave_index = 0;
-  static obs::Counter& waves_counter = obs::GetCounter("cluster.waves");
-  static obs::Counter& requeue_counter =
-      obs::GetCounter("cluster.requeued_segments");
-  static obs::Counter& crash_counter = obs::GetCounter("cluster.nodes_lost");
-
-  while (true) {
-    std::vector<int> requeue;
-    double max_node_latency = 0.0;
-    obs::ScopedSpan wave_span("wave");
-    wave_span.AddAttr("wave", static_cast<uint64_t>(wave_index++));
-    waves_counter.Add();
-    for (int node = 0; node < config_.num_nodes; ++node) {
-      if (!alive[node] || assignment[node].empty()) continue;
-      TieredStore& tier = *node_tiers_[node];
-      obs::ScopedSpan node_span("node_execute");
-      node_span.AddAttr("node", static_cast<uint64_t>(node));
-      node_span.AddAttr("segments", assignment[node].size());
-      const TieredStore::Stats io_before = tier.stats();
-      CpuTimer cpu;
-      double injected_delay = 0.0;
-      bool crashed = false;
-      std::vector<std::pair<int, SegPartial>> completed;
-      std::vector<int> lost_this_wave;
-      for (const int seg : assignment[node]) {
-        if (fi != nullptr) {
-          const FaultDecision d = fi->Evaluate(fault_sites::kNodeSegment);
-          injected_delay += d.delay_seconds;
-          if (d.crash || d.fail) {
-            crashed = true;
-            break;
-          }
-        }
-        SegPartial partial;
-        Result<bool> processed = process_segment(tier, seg, &partial);
-        if (!processed.ok()) return processed.status();
-        if (processed.value()) {
-          completed.emplace_back(seg, std::move(partial));
-        } else {
-          lost_this_wave.push_back(seg);
-        }
-      }
-      const double node_cpu = cpu.ElapsedSeconds();
-      const TieredStore::Stats io_after = tier.stats();
-      const uint64_t node_cold_bytes =
-          io_after.bytes_from_cold - io_before.bytes_from_cold;
-      stats.total_cpu_seconds += node_cpu;
-      stats.bytes_from_cold += node_cold_bytes;
-      stats.hot_hits += io_after.hot_hits - io_before.hot_hits;
-      node_span.AddAttr("cold_bytes", node_cold_bytes);
-      node_span.AddAttr("hot_hits", io_after.hot_hits - io_before.hot_hits);
-      injected_delay +=
-          io_after.injected_delay_seconds - io_before.injected_delay_seconds;
-      const double node_latency =
-          node_cpu / config_.threads_per_node +
-          static_cast<double>(node_cold_bytes) /
-              config_.cold_bandwidth_bytes_per_sec +
-          injected_delay;
-      max_node_latency = std::max(max_node_latency, node_latency);
-      if (crashed) {
-        // The node died mid-wave: its response never reaches the
-        // coordinator, so everything it owned this wave -- completed, lost
-        // or untouched -- is requeued onto the survivors.
-        alive[node] = false;
-        ++stats.degraded.nodes_lost;
-        node_span.AddAttr("crashed", 1);
-        crash_counter.Add();
-        requeue_counter.Add(assignment[node].size());
-        requeue.insert(requeue.end(), assignment[node].begin(),
-                       assignment[node].end());
-      } else {
-        static obs::Counter& seg_counter =
-            obs::GetCounter("cluster.segments_processed");
-        seg_counter.Add(completed.size());
-        for (auto& [seg, partial] : completed) {
-          StoreSegmentPartial(strategy_ids, metric_ids, seg, partial.sums,
-                              partial.counts, &partials);
-          if (requeued_segments.erase(seg) > 0) {
-            ++stats.degraded.faults_survived;
-          }
-        }
-        lost_segments.insert(lost_segments.end(), lost_this_wave.begin(),
-                             lost_this_wave.end());
-      }
-      assignment[node].clear();
-    }
-    total_latency += max_node_latency;
-    if (requeue.empty()) break;
-    std::vector<int> survivors;
-    for (int node = 0; node < config_.num_nodes; ++node) {
-      if (alive[node]) survivors.push_back(node);
-    }
-    if (survivors.empty()) {
-      if (!config_.allow_degraded) {
-        return Status::Unavailable(
-            "adhoc cluster: every node crashed mid-query");
-      }
-      lost_segments.insert(lost_segments.end(), requeue.begin(),
-                           requeue.end());
-      break;
-    }
-    for (size_t i = 0; i < requeue.size(); ++i) {
-      assignment[survivors[i % survivors.size()]].push_back(requeue[i]);
-      requeued_segments.insert(requeue[i]);
-    }
-  }
-
-  std::sort(lost_segments.begin(), lost_segments.end());
-  lost_segments.erase(
-      std::unique(lost_segments.begin(), lost_segments.end()),
-      lost_segments.end());
-  stats.degraded.segments_answered =
-      num_segments - static_cast<int>(lost_segments.size());
-  if (!lost_segments.empty()) {
-    static obs::Counter& lost_counter =
-        obs::GetCounter("cluster.degraded_segments");
-    lost_counter.Add(lost_segments.size());
-  }
-  // Degradation summary on the root span, so a slow-query dump of a chaotic
-  // run shows what was retried, requeued and lost at a glance.
-  obs::CurrentSpanAttr("waves", static_cast<uint64_t>(wave_index));
-  obs::CurrentSpanAttr(
-      "segments_answered",
-      static_cast<uint64_t>(stats.degraded.segments_answered));
-  obs::CurrentSpanAttr("lost_segments", lost_segments.size());
-  obs::CurrentSpanAttr("retries",
-                       static_cast<uint64_t>(stats.degraded.retries));
-  obs::CurrentSpanAttr("nodes_lost",
-                       static_cast<uint64_t>(stats.degraded.nodes_lost));
-  stats.degraded.lost_segments = std::move(lost_segments);
-
-  // Coordinator merge is a handful of vector adds; fold it into the
-  // measured assembly below.
-  CpuTimer merge_cpu;
-  stats.results = std::move(partials);
-  stats.latency_seconds = total_latency + merge_cpu.ElapsedSeconds();
-  if (stats.degraded.degraded()) {
-    obs::FlightRecorder::Global().Record(
-        obs::FlightEventKind::kQueryDegraded,
-        stats.degraded.lost_segments.size(),
-        static_cast<uint64_t>(stats.degraded.nodes_lost));
-  }
-  obs::FlightRecorder::Global().Record(
-      obs::FlightEventKind::kQueryFinish,
-      static_cast<uint64_t>(stats.latency_seconds * 1e6),
-      stats.degraded.lost_segments.size());
-  return stats;
-}
-
-void AdhocCluster::MaybeWritePostmortem(QueryStats* stats) {
-  std::string reason;
-  if (stats->degraded.degraded()) {
-    reason = "degraded";
-  } else if (stats->degraded.nodes_lost > 0) {
-    reason = "node_markdown";
-  } else {
-    const double threshold_ms = obs::SlowQueryThresholdMs();
-    if (threshold_ms >= 0.0 &&
-        stats->latency_seconds * 1000.0 >= threshold_ms) {
-      reason = "slow_query";
-    }
-  }
-  if (reason.empty() || config_.postmortem_dir.empty()) return;
-
-  obs::PostmortemBundle bundle;
-  bundle.reason = reason;
-  bundle.trace_id = stats->trace ? stats->trace->trace_id() : 0;
-  bundle.query = "adhoc_query_bsi";
-  bundle.duration_ms = stats->latency_seconds * 1000.0;
-  for (int seg : stats->degraded.lost_segments) {
-    bundle.lost_segments.push_back(static_cast<uint32_t>(seg));
-  }
-  bundle.segments_answered =
-      static_cast<uint64_t>(stats->degraded.segments_answered);
-  bundle.retries = static_cast<uint32_t>(stats->degraded.retries);
-  bundle.faults_survived =
-      static_cast<uint32_t>(stats->degraded.faults_survived);
-  bundle.nodes_lost = static_cast<uint32_t>(stats->degraded.nodes_lost);
-  if (stats->trace) bundle.trace_json = stats->trace->ToJson();
-  obs::PostmortemFlightSlice self;
-  self.label = "local";
-  self.fetched = true;
-  self.events = obs::FlightRecorder::Global().Snapshot(
-      stats->trace ? stats->trace->start_flight_seq() : 0);
-  self.next_seq = obs::FlightRecorder::Global().NextSeq();
-  bundle.slices.push_back(std::move(self));
-  Result<std::string> written =
-      obs::WritePostmortem(config_.postmortem_dir, bundle);
-  if (written.ok()) stats->postmortem_path = std::move(written).value();
+  return coordinator_->QueryBsi(strategy_ids, metric_ids, date_lo, date_hi);
 }
 
 const ExposeBitmapCache& AdhocCluster::GetOrBuildBitmapCache(
@@ -493,8 +254,6 @@ Result<AdhocCluster::QueryStats> AdhocCluster::QueryNormalBitmap(
   QueryStats stats;
   stats.trace = std::make_shared<obs::QueryTrace>("adhoc_query_normal");
   obs::ScopedTrace install_trace(stats.trace.get());
-  static obs::Counter& queries = obs::GetCounter("cluster.queries");
-  queries.Add();
   const int num_segments = dataset_->config.num_segments;
   // The paper's baseline caches the expose bitmaps in memory up front; the
   // cache build is not part of the repeated-query latency. It IS a read of
@@ -528,12 +287,19 @@ Result<AdhocCluster::QueryStats> AdhocCluster::QueryNormalBitmap(
   std::map<StrategyMetricPair, BucketValues> partials =
       MakeSegmentPartials(strategy_ids, metric_ids, num_segments);
 
-  double max_node_latency = 0.0;
+  // Each node scans its primary segments (the BSI path's ownership), one
+  // node after another.
+  std::vector<std::vector<int>> owned(config_.num_nodes);
+  for (int seg = 0; seg < num_segments; ++seg) {
+    owned[NodeOfSegment(seg)].push_back(seg);
+  }
+  Stopwatch wall;
   for (int node = 0; node < config_.num_nodes; ++node) {
     obs::ScopedSpan node_span("node_scan");
     node_span.AddAttr("node", static_cast<uint64_t>(node));
+    node_span.AddAttr("segments", owned[node].size());
     CpuTimer cpu;
-    for (int seg = node; seg < num_segments; seg += config_.num_nodes) {
+    for (const int seg : owned[node]) {
       // Scan each requested metric's clustered rows (ClickHouse primary-key
       // order prunes other metrics), filtering each row through the per-day
       // expose bitmap. Masks are hoisted and sums accumulate in registers,
@@ -583,13 +349,10 @@ Result<AdhocCluster::QueryStats> AdhocCluster::QueryNormalBitmap(
         }
       }
     }
-    const double node_cpu = cpu.ElapsedSeconds();
-    stats.total_cpu_seconds += node_cpu;
-    max_node_latency =
-        std::max(max_node_latency, node_cpu / config_.threads_per_node);
+    stats.total_cpu_seconds += cpu.ElapsedSeconds();
   }
   stats.results = std::move(partials);
-  stats.latency_seconds = max_node_latency;
+  stats.latency_seconds = wall.ElapsedSeconds();
   return stats;
 }
 

@@ -9,45 +9,43 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/placement.h"
 #include "cluster/precompute_pipeline.h"
+#include "cluster/segment_query.h"
 #include "common/retry.h"
 #include "engine/experiment_data.h"
 #include "engine/normal_engine.h"
 #include "expdata/generator.h"
-#include "obs/trace.h"
 #include "storage/bsi_store.h"
 #include "storage/snapshot.h"
-#include "storage/tiered_store.h"
 
 namespace expbsi {
 
 class IngestStore;  // wal/ingest_store.h
+namespace net {
+class Coordinator;  // net/coordinator.h
+}  // namespace net
 
 // ClickHouse-like ad-hoc query cluster (§5.3, Fig. 8, Table 8): every
-// segment lives on one node; queries fan out, run locally and in parallel on
-// each node, and the coordinator merges per-segment partials. Nodes keep hot
-// data in a local tier and pull cold blobs from the warehouse on demand.
+// segment has a primary node; a query fans out, runs on each node and the
+// coordinator merges per-segment partials. Nodes keep hot data in a local
+// tier and pull cold blobs from the warehouse on demand.
 //
-// The machine running this simulation may have a single core, so latency is
-// derived analytically from measured per-node CPU time:
-//   node_latency  = node_cpu_seconds / threads_per_node
-//                 + bytes_from_cold / cold_bandwidth
-//   query_latency = max over nodes + coordinator merge time.
+// QueryBsi is the network coordinator's scatter/gather (net::Coordinator)
+// over an in-process node link: the nodes run one after another on the
+// calling thread, so latency_seconds is measured wall time with the nodes
+// serialized, not a parallel cluster's latency.
 struct AdhocClusterConfig {
   int num_nodes = 4;
-  int threads_per_node = 4;
   size_t hot_capacity_bytes_per_node = 256u << 20;
-  double cold_bandwidth_bytes_per_sec = 200e6;
   // Recovery layer: cold-tier fetch + decode runs under this policy
   // (transient unavailability and corrupt transfers are retried with
   // simulated backoff; NotFound is semantic absence and never retried).
   RetryPolicy retry;
-  // When true, a segment whose blobs stay unfetchable or corrupt after
-  // retries -- or that cannot be requeued because every node died -- is
-  // dropped from the scorecard and reported in QueryStats::degraded instead
-  // of failing the whole query. Off by default: absent faults the strict
-  // mode behaves exactly as before (errors surface as Status).
+  // When true, a segment whose blobs stay unfetchable or corrupt on every
+  // node -- or whose every node died -- is dropped from the scorecard and
+  // reported in QueryStats::degraded instead of failing the whole query.
+  // Off by default: absent faults the strict mode behaves exactly as before
+  // (errors surface as Status).
   bool allow_degraded = false;
   // Durable warehouse (§6 of DESIGN.md). When non-empty the cluster first
   // tries to cold-start its warehouse from the newest valid snapshot in
@@ -63,48 +61,18 @@ struct AdhocClusterConfig {
   // handling is left to the store's own checkpoints. Mutually exclusive
   // with passing `bsi` (the store IS the BSI source).
   IngestStore* ingest = nullptr;
-  // When non-empty, a degraded or slow QueryBsi writes a postmortem bundle
-  // (obs/postmortem.h) here. The in-process cluster has no remote rings to
-  // pull, so the bundle carries one "local" flight-recorder slice -- the
-  // same recorder the net layer uses, no wire involved -- plus the finished
-  // trace. The path lands in QueryStats::postmortem_path.
+  // When non-empty, a degraded, node-losing or slow QueryBsi writes a
+  // postmortem bundle (obs/postmortem.h) here. The in-process cluster has
+  // no remote rings to pull, so the bundle carries one "local"
+  // flight-recorder slice plus the finished trace. The path lands in
+  // QueryStats::postmortem_path.
   std::string postmortem_dir;
 };
 
 class AdhocCluster {
  public:
-  // Explicit degradation accounting (never silent: a partial scorecard is
-  // returned *flagged*, following the SRM-bias argument that dropping a
-  // failed segment without saying so biases every downstream statistic).
-  struct DegradedInfo {
-    // Segments absent from the result (sorted, unique). Their slots in every
-    // BucketValues vector are zero and must be excluded from inference.
-    std::vector<int> lost_segments;
-    int segments_answered = 0;
-    int retries = 0;          // fetch retry attempts taken across the query
-    int faults_survived = 0;  // faults recovered (retry or requeue success)
-    int nodes_lost = 0;       // nodes that crashed mid-query
-
-    bool degraded() const { return !lost_segments.empty(); }
-  };
-
-  struct QueryStats {
-    double latency_seconds = 0.0;
-    double total_cpu_seconds = 0.0;
-    uint64_t bytes_from_cold = 0;
-    uint64_t hot_hits = 0;
-    std::map<StrategyMetricPair, BucketValues> results;
-    DegradedInfo degraded;
-    // Full span tree of this query (waves, per-node execution, per-segment
-    // work, retries). Created by the cluster and finished -- root closed,
-    // slow-query check applied -- before the stats are returned; shared so
-    // callers can keep it past the stats object.
-    std::shared_ptr<obs::QueryTrace> trace;
-    // Path of the postmortem bundle written for this query ("" when no
-    // trigger fired or no postmortem_dir is configured). See
-    // obs/postmortem.h.
-    std::string postmortem_path;
-  };
+  using DegradedInfo = expbsi::DegradedInfo;
+  using QueryStats = expbsi::QueryStats;
 
   // `dataset` backs the normal-format baseline; `bsi` is serialized into the
   // cluster's cold warehouse store. Both must outlive the cluster. The
@@ -116,22 +84,26 @@ class AdhocCluster {
   // CHECK-fails without it). Without a snapshot dir both are required.
   AdhocCluster(const Dataset* dataset, const ExperimentBsiData* bsi,
                AdhocClusterConfig config);
+  ~AdhocCluster();
 
   // BSI method: per node, fetch + deserialize expose/metric blobs (hot tier
-  // first), range-search the expose filter and popcount the masked sums.
+  // first), build the per-day expose masks and sum the metrics under them.
   //
-  // Failure handling: fetches retry under config.retry; a node that crashes
-  // mid-query (fault injection) has its in-flight wave discarded and its
-  // segments requeued onto the surviving nodes, wave by wave. A segment that
-  // cannot be recovered either fails the query (Corruption / Unavailable,
-  // the strict default) or -- with config.allow_degraded -- is dropped and
-  // reported in QueryStats::degraded.
+  // Failure handling is net::Coordinator's: fetches retry under
+  // config.retry; a node that crashes mid-query (adhoc.node_segment) loses
+  // its in-flight wave and its segments fail over to their next replica
+  // (every node replicates every segment here). An unrecoverable segment
+  // either fails the query (the strict default) or -- with
+  // config.allow_degraded -- is reported in QueryStats::degraded.
   Result<QueryStats> QueryBsi(const std::vector<uint64_t>& strategy_ids,
                               const std::vector<uint64_t>& metric_ids,
                               Date date_lo, Date date_hi);
 
   // Normal-format baseline (§6.3): per-day expose bitmaps cached in memory,
-  // metric-log rows scanned and filtered through them.
+  // metric-log rows scanned and filtered through them, node by node over
+  // each node's primary segments. latency_seconds is the measured wall time
+  // of the scan (nodes serialized, like QueryBsi), excluding the bitmap
+  // cache build.
   Result<QueryStats> QueryNormalBitmap(
       const std::vector<uint64_t>& strategy_ids,
       const std::vector<uint64_t>& metric_ids, Date date_lo, Date date_hi);
@@ -139,9 +111,7 @@ class AdhocCluster {
   // Primary owner of a segment under the shared rendezvous placement
   // (cluster/placement.h) -- the same primaries the network Coordinator
   // derives, replacing the old `segment % num_nodes` rule.
-  int NodeOfSegment(int segment) const {
-    return placement_->PrimaryOf(segment);
-  }
+  int NodeOfSegment(int segment) const;
 
   const BsiStore& cold_store() const { return cold_; }
 
@@ -164,17 +134,6 @@ class AdhocCluster {
   int num_segments() const { return num_segments_; }
 
  private:
-  // The QueryBsi body. Holds the query's ScopedTrace, so by the time it
-  // returns the root span is closed and the slow-query check has run; the
-  // wrapper then evaluates the postmortem triggers against finished stats.
-  Result<QueryStats> QueryBsiInternal(
-      const std::vector<uint64_t>& strategy_ids,
-      const std::vector<uint64_t>& metric_ids, Date date_lo, Date date_hi);
-  // Degraded / slow-query postmortem for the in-process cluster: one
-  // "local" flight-recorder slice (no wire), written under
-  // config.postmortem_dir when a trigger fires.
-  void MaybeWritePostmortem(QueryStats* stats);
-
   // Lazily built (and then reused) per-strategy expose bitmap caches for the
   // baseline, mirroring the paper's "cache these bitmaps in memory". Sets
   // `*built` to whether this call (re)built the cache rather than reusing
@@ -192,11 +151,10 @@ class AdhocCluster {
   bool cold_started_from_snapshot_ = false;
   RecoveryReport recovery_report_;
   Status snapshot_write_status_;
-  // Segments (< num_segments_) the snapshot recovery lost; pre-marked
-  // degraded on every QueryBsi.
+  // Segments (< num_segments_) the snapshot recovery lost; every node
+  // answers them lost=1 without executing them.
   std::vector<int> recovery_lost_segments_;
-  std::unique_ptr<Placement> placement_;
-  std::vector<std::unique_ptr<TieredStore>> node_tiers_;
+  std::unique_ptr<net::Coordinator> coordinator_;
   std::map<uint64_t, ExposeBitmapCache> bitmap_caches_;
   // (metric_id, segment) row groups the baseline has already scanned; a
   // first scan is a cold read of the rows' bytes, a repeat is a hot hit --

@@ -3,6 +3,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/timer.h"
 #include "engine/experiment_data.h"
 #include "obs/trace.h"
 #include "storage/bsi_store.h"
@@ -143,6 +144,72 @@ Result<bool> ExecuteSegmentQuery(TieredStore& tier, int seg,
     }
   }
   return true;
+}
+
+Status ExecuteQueryRequest(TieredStore& tier,
+                           const wire::WireQueryRequest& req,
+                           const RetryPolicy& retry,
+                           const std::function<SegmentGate(uint32_t)>& gate,
+                           wire::WireQueryResponse* resp) {
+  Status exec_status;
+  // Trace the node-side execution when asked; the spans ship back in the
+  // response and the coordinator grafts them under its RPC span.
+  std::unique_ptr<obs::QueryTrace> trace;
+  if (req.want_trace) trace = std::make_unique<obs::QueryTrace>("node_query");
+  {
+    obs::ScopedTrace install_trace(trace.get());
+    const TieredStore::Stats io_before = tier.stats();
+    CpuTimer cpu;
+    for (uint32_t seg : req.segments) {
+      const SegmentGate g = gate ? gate(seg) : SegmentGate::kExecute;
+      if (g == SegmentGate::kAbort) break;
+      wire::WireSegmentResult out;
+      out.segment = seg;
+      if (g == SegmentGate::kLost) {
+        out.lost = 1;
+        resp->segments.push_back(std::move(out));
+        continue;
+      }
+      SegPartial partial;
+      SegmentExecStats exec;
+      Result<bool> processed = ExecuteSegmentQuery(
+          tier, static_cast<int>(seg), req.strategy_ids, req.metric_ids,
+          req.date_lo, req.date_hi, retry, req.allow_degraded, &partial,
+          &exec);
+      resp->retries += static_cast<uint32_t>(exec.retries);
+      resp->faults_survived += static_cast<uint32_t>(exec.faults_survived);
+      if (!processed.ok()) {
+        exec_status = processed.status();
+        break;
+      }
+      if (processed.value()) {
+        out.sums = std::move(partial.sums);
+        out.counts = std::move(partial.counts);
+      } else {
+        out.lost = 1;  // degraded: named explicitly, never silent
+      }
+      resp->segments.push_back(std::move(out));
+    }
+    resp->cpu_seconds = cpu.ElapsedSeconds();
+    const TieredStore::Stats io_after = tier.stats();
+    resp->bytes_from_cold =
+        io_after.bytes_from_cold - io_before.bytes_from_cold;
+    resp->hot_hits = io_after.hot_hits - io_before.hot_hits;
+  }
+  // ScopedTrace closed the root above, so every shipped span is closed.
+  if (trace != nullptr) {
+    for (const obs::QueryTrace::Span& s : trace->spans()) {
+      wire::WireSpan ws;
+      ws.id = s.id;
+      ws.parent_id = s.parent_id;
+      ws.name = s.name;
+      ws.start_ns = s.start_ns;
+      ws.duration_ns = s.duration_ns;
+      ws.attrs = s.attrs;
+      resp->spans.push_back(std::move(ws));
+    }
+  }
+  return exec_status;
 }
 
 }  // namespace expbsi

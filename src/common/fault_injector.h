@@ -58,11 +58,12 @@ namespace fault_sites {
 inline constexpr char kWarehouseGet[] = "warehouse.get";
 // TieredStore cold-tier load -- the simulated network fetch; supports
 // kFail, kCorrupt (the returned copy is corrupted and NOT cached, so a
-// retry re-reads the warehouse) and kDelay.
+// retry re-reads the warehouse) and kDelay (sleeps).
 inline constexpr char kTierFetch[] = "tier.fetch";
-// AdhocCluster: evaluated once per (node, segment) step in coordinator
-// order; kCrash kills the node mid-query (its in-flight wave is discarded
-// and requeued), kDelay makes the node slow for that segment.
+// The coordinator's in-process node link (AdhocCluster): evaluated once per
+// (node, segment) step, in wave and node order; kCrash kills the node
+// mid-query (its in-flight wave is discarded and its segments fail over to
+// their next replica), kDelay sleeps before that segment runs.
 inline constexpr char kNodeSegment[] = "adhoc.node_segment";
 // PrecomputePipeline executor task attempt. Indexed explicitly as
 // pair_index * kPipelineAttemptStride + attempt so schedules are

@@ -1,16 +1,20 @@
 #include "net/coordinator.h"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
-#include "cluster/segment_query.h"
 #include "common/check.h"
 #include "common/fault_injector.h"
 #include "common/timer.h"
+#include "net/socket.h"
+#include "net/transport.h"
 #include "obs/fleet.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -83,108 +87,82 @@ void GraftRemoteSpans(const std::vector<wire::WireSpan>& spans) {
   }
 }
 
+// What every task of one wave asks: the query (its `segments` left empty;
+// each attempt carries its own), the query deadline, and the coordinator
+// state a hedging link consults.
+struct WaveQuery {
+  const wire::WireQueryRequest& request;
+  Deadline deadline;
+  uint64_t flight_trace_id;
+  const NodeHealth& health;
+  std::atomic<uint64_t>& next_request_id;
+};
+
 }  // namespace
 
-Coordinator::Coordinator(CoordinatorOptions options)
-    : options_(std::move(options)),
-      placement_(static_cast<int>(options_.node_ports.size()),
-                 options_.num_segments, options_.replication_factor),
-      health_(static_cast<int>(options_.node_ports.size())) {
-  CHECK_GT(options_.node_ports.size(), 0u);
-  CHECK_GT(options_.num_segments, 0);
-  endpoints_.reserve(options_.node_ports.size());
-  hedge_endpoints_.reserve(options_.node_ports.size());
-  for (size_t n = 0; n < options_.node_ports.size(); ++n) {
-    endpoints_.push_back(std::make_unique<FaultyEndpoint>(
-        kNetClientEndpointBase + static_cast<uint64_t>(n)));
-    hedge_endpoints_.push_back(std::make_unique<FaultyEndpoint>(
-        kNetHedgeEndpointBase + static_cast<uint64_t>(n)));
+// The seam between the coordinator's wave loop and the nodes: runs one
+// wave's tasks and completes their attempts. Routing, health, accounting
+// and the postmortem stay in the coordinator.
+class NodeLink {
+ public:
+  NodeLink() = default;
+  NodeLink(const NodeLink&) = delete;
+  NodeLink& operator=(const NodeLink&) = delete;
+  virtual ~NodeLink() = default;
+  virtual int num_nodes() const = 0;
+  // Trace root and postmortem query name.
+  virtual const char* query_name() const = 0;
+  // Label of the postmortem's own flight-recorder slice.
+  virtual const char* self_slice_label() const = 0;
+  virtual void RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) = 0;
+  // Adds per-node flight-recorder slices for the nodes a query touched.
+  virtual void AppendNodeSlices(const std::vector<int>& /*involved_nodes*/,
+                                obs::PostmortemBundle* /*bundle*/) {}
+};
+
+namespace {
+
+// TCP link: one thread per task against NodeServers on 127.0.0.1.
+class TcpLink final : public NodeLink {
+ public:
+  explicit TcpLink(const CoordinatorOptions& options) : options_(options) {
+    endpoints_.reserve(options_.node_ports.size());
+    hedge_endpoints_.reserve(options_.node_ports.size());
+    for (size_t n = 0; n < options_.node_ports.size(); ++n) {
+      endpoints_.push_back(std::make_unique<FaultyEndpoint>(
+          kNetClientEndpointBase + static_cast<uint64_t>(n)));
+      hedge_endpoints_.push_back(std::make_unique<FaultyEndpoint>(
+          kNetHedgeEndpointBase + static_cast<uint64_t>(n)));
+    }
   }
-}
 
-Result<AdhocCluster::QueryStats> Coordinator::QueryBsi(
-    const std::vector<uint64_t>& strategy_ids,
-    const std::vector<uint64_t>& metric_ids, Date date_lo, Date date_hi) {
-  CHECK_LE(date_lo, date_hi);
-
-  // Admission control: bound concurrent scatter/gathers instead of letting
-  // queued queries blow every deadline downstream.
-  struct RunningGuard {
-    std::atomic<int>& counter;
-    ~RunningGuard() { counter.fetch_sub(1, std::memory_order_relaxed); }
-  };
-  if (running_queries_.fetch_add(1, std::memory_order_relaxed) >=
-      options_.max_concurrent_queries) {
-    RunningGuard guard{running_queries_};
-    admission_rejections_.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& rejected =
-        obs::GetCounter("coordinator.admission_rejections");
-    rejected.Add();
-    return Status::Unavailable("coordinator: at max_concurrent_queries");
+  int num_nodes() const override {
+    return static_cast<int>(options_.node_ports.size());
   }
-  RunningGuard guard{running_queries_};
+  const char* query_name() const override { return "coordinator_query_bsi"; }
+  const char* self_slice_label() const override { return "coordinator"; }
+  void RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) override;
+  void AppendNodeSlices(const std::vector<int>& involved_nodes,
+                        obs::PostmortemBundle* bundle) override;
 
-  const uint64_t markdowns_before = health_.markdown_count();
-  std::vector<int> involved_nodes;
-  Result<AdhocCluster::QueryStats> result = QueryBsiInternal(
-      strategy_ids, metric_ids, date_lo, date_hi, &involved_nodes);
-  if (!result.ok()) return result;
-  // The internal call's ScopedTrace has closed: the root span is final and
-  // the slow-query check has run, so the bundle freezes the same trace the
-  // slow-query line printed.
-  MaybeWritePostmortem(&result.value(), markdowns_before, involved_nodes);
-  return result;
-}
+ private:
+  const CoordinatorOptions options_;
+  // One send endpoint per node link, so coordinator-side net.send indices
+  // are stable per node regardless of query interleaving; hedge sends get
+  // their own endpoints so hedging never shifts primary schedules.
+  std::vector<std::unique_ptr<FaultyEndpoint>> endpoints_;
+  std::vector<std::unique_ptr<FaultyEndpoint>> hedge_endpoints_;
+  // Per-node flight-recorder cursors used by postmortem pulls, so each
+  // bundle ships only events unseen by previous bundles. Guarded by pm_mu_
+  // (concurrent queries may trigger postmortems concurrently).
+  std::mutex pm_mu_;
+  std::vector<uint64_t> pm_cursors_;
+};
 
-Result<AdhocCluster::QueryStats> Coordinator::QueryBsiInternal(
-    const std::vector<uint64_t>& strategy_ids,
-    const std::vector<uint64_t>& metric_ids, Date date_lo, Date date_hi,
-    std::vector<int>* involved_nodes) {
-  AdhocCluster::QueryStats stats;
-  stats.trace = std::make_shared<obs::QueryTrace>("coordinator_query_bsi");
-  obs::ScopedTrace install_trace(stats.trace.get());
-  static obs::Counter& queries = obs::GetCounter("coordinator.queries");
-  queries.Add();
-  const uint64_t flight_trace_id = stats.trace->trace_id();
-  obs::FlightRecorder::Global().Record(
-      obs::FlightEventKind::kQueryAdmit,
-      static_cast<uint64_t>(options_.num_segments));
-  Stopwatch wall;
-  const Deadline deadline =
-      Deadline::After(options_.query_deadline_seconds);
-
-  const int num_nodes = static_cast<int>(options_.node_ports.size());
-  const int num_segments = options_.num_segments;
-  const size_t num_metrics = metric_ids.size();
-  const size_t slots = strategy_ids.size() * num_metrics;
-
-  std::map<StrategyMetricPair, BucketValues> partials =
-      MakeSegmentPartials(strategy_ids, metric_ids, num_segments);
-
-  // Per-segment routing state. A segment is pending until answered or
-  // declared lost; `tried[seg]` are replicas that had their chance (dead,
-  // or answered lost=1). Loss is recorded only when no alive untried
-  // replica remains -- with R=2 that needs BOTH replicas down.
-  std::vector<bool> answered(num_segments, false);
-  std::vector<bool> failed_over(num_segments, false);
-  std::vector<std::vector<bool>> tried(
-      num_segments, std::vector<bool>(num_nodes, false));
-  std::vector<bool> alive(num_nodes, true);
-  std::vector<uint32_t> pending;
-  pending.reserve(num_segments);
-  for (int seg = 0; seg < num_segments; ++seg) {
-    pending.push_back(static_cast<uint32_t>(seg));
-  }
-  std::vector<int> lost_segments;
-  std::set<int> involved;  // nodes any completed RPC attempt touched
-  int wave_index = 0;
-  static obs::Counter& waves_counter = obs::GetCounter("coordinator.waves");
-  static obs::Counter& requeue_counter =
-      obs::GetCounter("coordinator.requeued_segments");
-  static obs::Counter& crash_counter =
-      obs::GetCounter("coordinator.nodes_lost");
-  static obs::Counter& seg_counter =
-      obs::GetCounter("coordinator.segments_processed");
+void TcpLink::RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) {
+  const Deadline& deadline = wave.deadline;
+  const size_t slots =
+      wave.request.strategy_ids.size() * wave.request.metric_ids.size();
   static obs::Counter& hedged_rpcs = obs::GetCounter("coordinator.hedged_rpcs");
   static obs::Counter& hedge_wins = obs::GetCounter("coordinator.hedge_wins");
 
@@ -193,14 +171,8 @@ Result<AdhocCluster::QueryStats> Coordinator::QueryBsiInternal(
     wire::Envelope env;
     env.type = wire::MsgType::kQueryRequest;
     env.request_id = request_id;
-    wire::WireQueryRequest req;
-    req.strategy_ids = strategy_ids;
-    req.metric_ids = metric_ids;
-    req.date_lo = date_lo;
-    req.date_hi = date_hi;
+    wire::WireQueryRequest req = wave.request;
     req.segments = segments;
-    req.allow_degraded = options_.allow_degraded;
-    req.want_trace = options_.want_trace;
     wire::EncodeQueryRequest(req, &env.payload);
     return env;
   };
@@ -250,8 +222,8 @@ Result<AdhocCluster::QueryStats> Coordinator::QueryBsiInternal(
   // One scatter task: the primary RPC for one node's wave segments, plus
   // (when enabled and the primary is slow) hedge RPCs to each segment's
   // next replica. Runs in its own thread; touches no trace or routing
-  // state -- all accounting happens post-join on the main thread, in
-  // deterministic task order.
+  // state -- all accounting happens post-join on the coordinator's thread,
+  // in deterministic task order.
   auto run_task = [&](NodeTask& task) {
     // Appending hedge attempts must never reallocate `attempts` -- `primary`
     // stays bound to [0] -- so reserve the worst case (one hedge RPC per
@@ -287,7 +259,7 @@ Result<AdhocCluster::QueryStats> Coordinator::QueryBsiInternal(
     // Hedged path: give the primary its hedge delay, then re-send the
     // outstanding segments to their next replicas and take the first valid
     // answer per segment.
-    const double delay_s = health_.HedgeDelaySeconds(
+    const double delay_s = wave.health.HedgeDelaySeconds(
         primary.node, options_.hedge_delay_seconds);
     const int delay_ms = std::min(
         std::max(1, static_cast<int>(delay_s * 1000.0)),
@@ -308,7 +280,7 @@ Result<AdhocCluster::QueryStats> Coordinator::QueryBsiInternal(
     // stamped explicitly.
     obs::FlightRecorder::Global().RecordWithTraceId(
         obs::FlightEventKind::kHedgeFired,
-        static_cast<uint64_t>(primary.node), 0, flight_trace_id);
+        static_cast<uint64_t>(primary.node), 0, wave.flight_trace_id);
     std::map<int, std::vector<uint32_t>> by_node;
     for (const auto& [seg, hedge_node] : task.hedge_plan) {
       by_node[hedge_node].push_back(seg);
@@ -320,7 +292,8 @@ Result<AdhocCluster::QueryStats> Coordinator::QueryBsiInternal(
       a.is_hedge = true;
       // Hedge ids are allocated from racing task threads: fine here, but
       // the reason hedging stays off in determinism suites.
-      a.request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
+      a.request_id =
+          wave.next_request_id.fetch_add(1, std::memory_order_relaxed);
       task.attempts.push_back(std::move(a));
     }
     std::vector<Socket> socks(task.attempts.size());
@@ -370,6 +343,221 @@ Result<AdhocCluster::QueryStats> Coordinator::QueryBsiInternal(
       if (complete) break;  // stragglers stay abandoned, never penalized
     }
   };
+
+  std::vector<std::thread> threads;
+  threads.reserve(tasks->size());
+  for (NodeTask& task : *tasks) {
+    threads.emplace_back([&run_task, &task] { run_task(task); });
+  }
+  for (std::thread& t : threads) t.join();
+}
+
+void TcpLink::AppendNodeSlices(const std::vector<int>& involved_nodes,
+                               obs::PostmortemBundle* bundle) {
+  // Every node the query touched, pulled with the coordinator-held cursors
+  // so consecutive bundles ship disjoint event ranges.
+  std::lock_guard<std::mutex> lock(pm_mu_);
+  if (pm_cursors_.size() < options_.node_ports.size()) {
+    pm_cursors_.resize(options_.node_ports.size(), 0);
+  }
+  for (int n : involved_nodes) {
+    obs::PostmortemFlightSlice slice;
+    slice.label = "127.0.0.1:" + std::to_string(options_.node_ports[n]);
+    wire::WireStatsFetch fetch;
+    fetch.since_seq = pm_cursors_[static_cast<size_t>(n)];
+    fetch.want_metrics = false;
+    fetch.want_events = true;
+    Result<wire::WireStatsReply> reply =
+        obs::FetchStats(options_.node_ports[n], fetch,
+                        options_.postmortem_fetch_deadline_seconds);
+    if (reply.ok()) {
+      slice.fetched = true;
+      slice.events = obs::EventsFromReply(reply.value());
+      slice.next_seq = reply.value().next_seq;
+      pm_cursors_[static_cast<size_t>(n)] = reply.value().next_seq;
+    } else {
+      slice.error = reply.status().ToString();
+    }
+    bundle->slices.push_back(std::move(slice));
+  }
+}
+
+// In-process link: tasks run one after another on the calling thread, in
+// node order, through ExecuteQueryRequest against the node's tier. The
+// adhoc.node_segment fault site is evaluated once per (node, segment) step:
+// kCrash/kFail kill the node for this wave (its task comes back kNodeDead),
+// kDelay sleeps.
+class InProcessLink final : public NodeLink {
+ public:
+  explicit InProcessLink(InProcessNodes nodes)
+      : nodes_(std::move(nodes)),
+        lost_(nodes_.lost_segments.begin(), nodes_.lost_segments.end()) {
+    for (int n = 0; n < nodes_.num_nodes; ++n) {
+      tiers_.push_back(std::make_unique<TieredStore>(
+          nodes_.warehouse, nodes_.hot_capacity_bytes));
+    }
+  }
+
+  int num_nodes() const override { return nodes_.num_nodes; }
+  const char* query_name() const override { return "adhoc_query_bsi"; }
+  const char* self_slice_label() const override { return "local"; }
+  void RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) override;
+
+ private:
+  const InProcessNodes nodes_;
+  const std::unordered_set<int> lost_;
+  std::vector<std::unique_ptr<TieredStore>> tiers_;  // index = node id
+};
+
+void InProcessLink::RunWave(const WaveQuery& wave,
+                            std::vector<NodeTask>* tasks) {
+  FaultInjector* const fi = FaultInjector::Get();
+  for (NodeTask& task : *tasks) {
+    RpcAttempt& attempt = task.attempts[0];
+    Stopwatch rpc_wall;
+    wire::WireQueryRequest req = wave.request;
+    req.segments = attempt.segments;
+    bool crashed = false;
+    const Status status = ExecuteQueryRequest(
+        *tiers_[attempt.node], req, nodes_.retry,
+        [&](uint32_t seg) {
+          if (lost_.count(static_cast<int>(seg)) > 0) {
+            return SegmentGate::kLost;
+          }
+          if (fi == nullptr) return SegmentGate::kExecute;
+          const FaultDecision d = fi->Evaluate(fault_sites::kNodeSegment);
+          if (d.delay_seconds > 0) {
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(d.delay_seconds));
+          }
+          if (d.crash || d.fail) {
+            crashed = true;
+            return SegmentGate::kAbort;
+          }
+          return SegmentGate::kExecute;
+        },
+        &attempt.resp);
+    if (!status.ok()) {
+      attempt.outcome = status;
+    } else {
+      attempt.outcome = crashed ? RpcOutcome::kNodeDead : RpcOutcome::kOk;
+    }
+    attempt.latency_seconds = rpc_wall.ElapsedSeconds();
+    attempt.completed = true;
+  }
+}
+
+}  // namespace
+
+Coordinator::Coordinator(CoordinatorOptions options)
+    : Coordinator(options, std::make_unique<TcpLink>(options)) {}
+
+Coordinator::Coordinator(CoordinatorOptions options, InProcessNodes nodes)
+    : Coordinator(std::move(options),
+                  std::make_unique<InProcessLink>(std::move(nodes))) {}
+
+Coordinator::Coordinator(CoordinatorOptions options,
+                         std::unique_ptr<NodeLink> link)
+    : options_(std::move(options)),
+      link_(std::move(link)),
+      placement_(link_->num_nodes(), options_.num_segments,
+                 options_.replication_factor),
+      health_(link_->num_nodes()) {
+  CHECK_GT(link_->num_nodes(), 0);
+  CHECK_GT(options_.num_segments, 0);
+}
+
+Coordinator::~Coordinator() = default;
+
+Result<QueryStats> Coordinator::QueryBsi(
+    const std::vector<uint64_t>& strategy_ids,
+    const std::vector<uint64_t>& metric_ids, Date date_lo, Date date_hi) {
+  CHECK_LE(date_lo, date_hi);
+
+  // Admission control: bound concurrent scatter/gathers instead of letting
+  // queued queries blow every deadline downstream.
+  struct RunningGuard {
+    std::atomic<int>& counter;
+    ~RunningGuard() { counter.fetch_sub(1, std::memory_order_relaxed); }
+  };
+  if (running_queries_.fetch_add(1, std::memory_order_relaxed) >=
+      options_.max_concurrent_queries) {
+    RunningGuard guard{running_queries_};
+    admission_rejections_.fetch_add(1, std::memory_order_relaxed);
+    static obs::Counter& rejected =
+        obs::GetCounter("coordinator.admission_rejections");
+    rejected.Add();
+    return Status::Unavailable("coordinator: at max_concurrent_queries");
+  }
+  RunningGuard guard{running_queries_};
+
+  const uint64_t markdowns_before = health_.markdown_count();
+  std::vector<int> involved_nodes;
+  Result<QueryStats> result = QueryBsiInternal(
+      strategy_ids, metric_ids, date_lo, date_hi, &involved_nodes);
+  if (!result.ok()) return result;
+  // The internal call's ScopedTrace has closed: the root span is final and
+  // the slow-query check has run, so the bundle freezes the same trace the
+  // slow-query line printed.
+  MaybeWritePostmortem(&result.value(), markdowns_before, involved_nodes);
+  return result;
+}
+
+Result<QueryStats> Coordinator::QueryBsiInternal(
+    const std::vector<uint64_t>& strategy_ids,
+    const std::vector<uint64_t>& metric_ids, Date date_lo, Date date_hi,
+    std::vector<int>* involved_nodes) {
+  QueryStats stats;
+  stats.trace = std::make_shared<obs::QueryTrace>(link_->query_name());
+  obs::ScopedTrace install_trace(stats.trace.get());
+  static obs::Counter& queries = obs::GetCounter("coordinator.queries");
+  queries.Add();
+  const uint64_t flight_trace_id = stats.trace->trace_id();
+  obs::FlightRecorder::Global().Record(
+      obs::FlightEventKind::kQueryAdmit,
+      static_cast<uint64_t>(options_.num_segments));
+  Stopwatch wall;
+  const Deadline deadline =
+      Deadline::After(options_.query_deadline_seconds);
+
+  const int num_nodes = link_->num_nodes();
+  const int num_segments = options_.num_segments;
+  // The request every wave task sends; each attempt adds its segments.
+  wire::WireQueryRequest request;
+  request.strategy_ids = strategy_ids;
+  request.metric_ids = metric_ids;
+  request.date_lo = date_lo;
+  request.date_hi = date_hi;
+  request.allow_degraded = options_.allow_degraded;
+  request.want_trace = options_.want_trace;
+
+  std::map<StrategyMetricPair, BucketValues> partials =
+      MakeSegmentPartials(strategy_ids, metric_ids, num_segments);
+
+  // Per-segment routing state. A segment is pending until answered or
+  // declared lost; `tried[seg]` are replicas that had their chance (dead,
+  // or answered lost=1). Loss is recorded only when no alive untried
+  // replica remains -- with R=2 that needs BOTH replicas down.
+  std::vector<bool> answered(num_segments, false);
+  std::vector<bool> failed_over(num_segments, false);
+  std::vector<std::vector<bool>> tried(
+      num_segments, std::vector<bool>(num_nodes, false));
+  std::vector<bool> alive(num_nodes, true);
+  std::vector<uint32_t> pending;
+  pending.reserve(num_segments);
+  for (int seg = 0; seg < num_segments; ++seg) {
+    pending.push_back(static_cast<uint32_t>(seg));
+  }
+  std::vector<int> lost_segments;
+  std::set<int> involved;  // nodes any completed RPC attempt touched
+  int wave_index = 0;
+  static obs::Counter& waves_counter = obs::GetCounter("coordinator.waves");
+  static obs::Counter& requeue_counter =
+      obs::GetCounter("coordinator.requeued_segments");
+  static obs::Counter& crash_counter =
+      obs::GetCounter("coordinator.nodes_lost");
+  static obs::Counter& seg_counter =
+      obs::GetCounter("coordinator.segments_processed");
 
   while (true) {
     health_.BeginRound();
@@ -434,12 +622,9 @@ Result<AdhocCluster::QueryStats> Coordinator::QueryBsiInternal(
       }
       task.attempts.push_back(std::move(primary));
     }
-    std::vector<std::thread> threads;
-    threads.reserve(tasks.size());
-    for (NodeTask& task : tasks) {
-      threads.emplace_back([&run_task, &task] { run_task(task); });
-    }
-    for (std::thread& t : threads) t.join();
+    link_->RunWave(WaveQuery{request, deadline, flight_trace_id, health_,
+                             next_request_id_},
+                   &tasks);
 
     // Post-join accounting, in task order on this thread only: trace span
     // ids, health updates and routing state all stay deterministic.
@@ -580,9 +765,8 @@ Result<AdhocCluster::QueryStats> Coordinator::QueryBsiInternal(
   involved_nodes->assign(involved.begin(), involved.end());
   return stats;
 }
-
 void Coordinator::MaybeWritePostmortem(
-    AdhocCluster::QueryStats* stats, uint64_t markdowns_before,
+    QueryStats* stats, uint64_t markdowns_before,
     const std::vector<int>& involved_nodes) {
   std::string reason;
   if (stats->degraded.degraded()) {
@@ -602,7 +786,7 @@ void Coordinator::MaybeWritePostmortem(
   obs::PostmortemBundle bundle;
   bundle.reason = reason;
   bundle.trace_id = stats->trace ? stats->trace->trace_id() : 0;
-  bundle.query = "coordinator_query_bsi";
+  bundle.query = link_->query_name();
   bundle.duration_ms = stats->latency_seconds * 1000.0;
   for (int seg : stats->degraded.lost_segments) {
     bundle.lost_segments.push_back(static_cast<uint32_t>(seg));
@@ -624,41 +808,13 @@ void Coordinator::MaybeWritePostmortem(
   }
   // The coordinator's own ring: everything since the query began.
   obs::PostmortemFlightSlice self;
-  self.label = "coordinator";
+  self.label = link_->self_slice_label();
   self.fetched = true;
   self.events = obs::FlightRecorder::Global().Snapshot(
       stats->trace ? stats->trace->start_flight_seq() : 0);
   self.next_seq = obs::FlightRecorder::Global().NextSeq();
   bundle.slices.push_back(std::move(self));
-  // Every node the query touched, pulled with the coordinator-held cursors
-  // so consecutive bundles ship disjoint event ranges.
-  {
-    std::lock_guard<std::mutex> lock(pm_mu_);
-    if (pm_cursors_.size() < options_.node_ports.size()) {
-      pm_cursors_.resize(options_.node_ports.size(), 0);
-    }
-    for (int n : involved_nodes) {
-      obs::PostmortemFlightSlice slice;
-      slice.label =
-          "127.0.0.1:" + std::to_string(options_.node_ports[n]);
-      wire::WireStatsFetch fetch;
-      fetch.since_seq = pm_cursors_[static_cast<size_t>(n)];
-      fetch.want_metrics = false;
-      fetch.want_events = true;
-      Result<wire::WireStatsReply> reply =
-          obs::FetchStats(options_.node_ports[n], fetch,
-                          options_.postmortem_fetch_deadline_seconds);
-      if (reply.ok()) {
-        slice.fetched = true;
-        slice.events = obs::EventsFromReply(reply.value());
-        slice.next_seq = reply.value().next_seq;
-        pm_cursors_[static_cast<size_t>(n)] = reply.value().next_seq;
-      } else {
-        slice.error = reply.status().ToString();
-      }
-      bundle.slices.push_back(std::move(slice));
-    }
-  }
+  link_->AppendNodeSlices(involved_nodes, &bundle);
   Result<std::string> written =
       obs::WritePostmortem(options_.postmortem_dir, bundle);
   if (written.ok()) stats->postmortem_path = std::move(written).value();

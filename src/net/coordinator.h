@@ -4,32 +4,37 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "cluster/adhoc_cluster.h"
 #include "cluster/placement.h"
+#include "cluster/segment_query.h"
+#include "common/retry.h"
 #include "net/node_health.h"
-#include "net/socket.h"
-#include "net/transport.h"
+#include "storage/bsi_store.h"
 
 namespace expbsi {
 namespace net {
 
-// Scatter/gather coordinator over remote node servers (DESIGN.md §9, §11):
-// the network promotion of AdhocCluster::QueryBsi, now replication-aware.
-// Placement is the shared rendezvous table (cluster/placement.h): each
-// segment maps to `replication_factor` distinct nodes in failover-preference
-// order, and every wave routes a segment to the healthiest alive replica it
-// has not tried yet. Scorecard assembly is the same partial-merge as the
-// in-process cluster, so QueryStats are bit-identical to AdhocCluster on a
-// fault-free run (only the primary replica is ever dialed then).
+// The scatter/gather coordinator (DESIGN.md §5, §9, §11): the one wave
+// loop, failover rule, degraded accounting and postmortem writer, behind
+// both the remote fleet and the in-process AdhocCluster. Placement is the
+// shared rendezvous table (cluster/placement.h): each segment maps to
+// `replication_factor` distinct nodes in failover-preference order, and
+// every wave routes a segment to the healthiest alive replica it has not
+// tried yet. A node link then runs the wave's node tasks: the TCP link one
+// thread per task against NodeServers, the in-process link one task after
+// another on the calling thread (so per-site fault op counters replay
+// identically for a seed), each through ExecuteQueryRequest -- the function
+// a NodeServer runs per request. A fault-free scorecard is therefore
+// bit-identical across the links (only primaries run then).
 //
 // Failure taxonomy per node RPC:
 //   connect refused / EOF / truncated or corrupt frame  -> node dead for
 //       this query (and one NodeHealth failure): its segments fail over to
 //       their next untried replica
+//   in-process adhoc.node_segment kCrash                -> node dead (as
+//       a dropped connection)
 //   kError(kUnavailable) reply (backpressure)           -> node excluded
 //       for the rest of this query, segments fail over; not a crash and
 //       not a health failure
@@ -56,7 +61,8 @@ namespace net {
 // indices from kNetHedgeEndpointBase so enabling hedging does not perturb
 // primary fault schedules.
 struct CoordinatorOptions {
-  std::vector<uint16_t> node_ports;  // 127.0.0.1, index = node id
+  // TCP link: 127.0.0.1, index = node id. Unused by the in-process link.
+  std::vector<uint16_t> node_ports;
   int num_segments = 0;
   // Replicas per segment (clamped to [1, num_nodes]). Nodes must serve the
   // matching replica set (Placement::SegmentsOf) or the full store.
@@ -75,10 +81,10 @@ struct CoordinatorOptions {
   // When non-empty, a query that comes back degraded, marks a node down, or
   // trips the slow-query threshold (EXPBSI_SLOW_QUERY_MS) writes a
   // postmortem bundle (obs/postmortem.h) here: the finished trace tree,
-  // the health registry, the coordinator's flight-recorder slice and one
-  // slice pulled from every node the query touched (kStatsFetch with
-  // coordinator-held since-seq cursors). The path lands in
-  // QueryStats::postmortem_path.
+  // the health registry and the coordinator's flight-recorder slice; the
+  // TCP link adds one slice pulled from every node the query touched
+  // (kStatsFetch with coordinator-held since-seq cursors). The path lands
+  // in QueryStats::postmortem_path.
   std::string postmortem_dir;
   // Deadline for each postmortem kStatsFetch pull; kept short so a dead
   // node delays the bundle, never the query (the bundle is written after
@@ -86,14 +92,33 @@ struct CoordinatorOptions {
   double postmortem_fetch_deadline_seconds = 1.0;
 };
 
+// The in-process node link's nodes: `num_nodes` TieredStores, each with
+// its own hot tier in front of the shared `warehouse` (not owned), so any
+// node can serve any segment. Segments in `lost_segments` are answered
+// lost=1 without being executed -- their warehouse blobs are known gone.
+struct InProcessNodes {
+  const BsiStore* warehouse = nullptr;
+  int num_nodes = 0;
+  size_t hot_capacity_bytes = 0;
+  RetryPolicy retry;
+  std::vector<int> lost_segments;
+};
+
+class NodeLink;  // coordinator.cc: runs one wave's node tasks
+
 class Coordinator {
  public:
+  // TCP link to the NodeServers at options.node_ports.
   explicit Coordinator(CoordinatorOptions options);
+  // In-process link over `nodes` (options.node_ports is ignored). The trace
+  // root and postmortem query are named "adhoc_query_bsi" and the bundle
+  // carries one "local" flight-recorder slice.
+  Coordinator(CoordinatorOptions options, InProcessNodes nodes);
+  ~Coordinator();
 
-  // Scatter the scorecard query over the nodes, gather and merge. Shapes
-  // and semantics match AdhocCluster::QueryBsi; latency_seconds is real
-  // wall time here (there is an actual network).
-  Result<AdhocCluster::QueryStats> QueryBsi(
+  // Scatter the scorecard query over the nodes, gather and merge.
+  // latency_seconds is the query's measured wall time.
+  Result<QueryStats> QueryBsi(
       const std::vector<uint64_t>& strategy_ids,
       const std::vector<uint64_t>& metric_ids, Date date_lo, Date date_hi);
 
@@ -106,12 +131,14 @@ class Coordinator {
   NodeHealth& health() { return health_; }
 
  private:
+  Coordinator(CoordinatorOptions options, std::unique_ptr<NodeLink> link);
+
   // The scatter/gather body. Holds the query's ScopedTrace, so by the time
   // it returns the root span is closed and the slow-query check has run --
   // the postmortem (written by the QueryBsi wrapper) sees a finished trace.
   // `involved_nodes` collects every node id an RPC attempt completed
   // against, the set whose flight recorders a postmortem pulls.
-  Result<AdhocCluster::QueryStats> QueryBsiInternal(
+  Result<QueryStats> QueryBsiInternal(
       const std::vector<uint64_t>& strategy_ids,
       const std::vector<uint64_t>& metric_ids, Date date_lo, Date date_hi,
       std::vector<int>* involved_nodes);
@@ -119,26 +146,17 @@ class Coordinator {
   // fires and postmortem_dir is set, assembles + writes the bundle and
   // records its path in the stats. `markdowns_before` is
   // health_.markdown_count() sampled at admission.
-  void MaybeWritePostmortem(AdhocCluster::QueryStats* stats,
+  void MaybeWritePostmortem(QueryStats* stats,
                             uint64_t markdowns_before,
                             const std::vector<int>& involved_nodes);
 
   CoordinatorOptions options_;
+  std::unique_ptr<NodeLink> link_;
   Placement placement_;
   NodeHealth health_;
-  // Per-node flight-recorder cursors used by postmortem pulls, so each
-  // bundle ships only events unseen by previous bundles. Guarded by pm_mu_
-  // (concurrent queries may trigger postmortems concurrently).
-  std::mutex pm_mu_;
-  std::vector<uint64_t> pm_cursors_;
   std::atomic<int> running_queries_{0};
   std::atomic<uint64_t> admission_rejections_{0};
   std::atomic<uint64_t> next_request_id_{1};
-  // One send endpoint per node link, so coordinator-side net.send indices
-  // are stable per node regardless of query interleaving; hedge sends get
-  // their own endpoints so hedging never shifts primary schedules.
-  std::vector<std::unique_ptr<FaultyEndpoint>> endpoints_;
-  std::vector<std::unique_ptr<FaultyEndpoint>> hedge_endpoints_;
 };
 
 }  // namespace net

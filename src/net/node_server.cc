@@ -8,12 +8,10 @@
 
 #include "cluster/segment_query.h"
 #include "common/fault_injector.h"
-#include "common/timer.h"
 #include "obs/fleet.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/postmortem.h"
-#include "obs/trace.h"
 
 namespace expbsi {
 namespace net {
@@ -69,20 +67,30 @@ void NodeServer::Stop() {
   stop_.store(true, std::memory_order_release);
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
-  std::vector<std::thread> handlers;
+  std::list<Handler> handlers;
   {
     std::lock_guard<std::mutex> lock(handlers_mu_);
     handlers.swap(handlers_);
   }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
+  for (Handler& h : handlers) {
+    if (h.thread.joinable()) h.thread.join();
   }
+}
+
+void NodeServer::ReapFinishedHandlers() {
+  std::lock_guard<std::mutex> lock(handlers_mu_);
+  handlers_.remove_if([](Handler& h) {
+    if (!h.done.load(std::memory_order_acquire)) return false;
+    h.thread.join();  // already past HandleConnection: returns at once
+    return true;
+  });
 }
 
 void NodeServer::AcceptLoop() {
   FaultInjector* const fi = FaultInjector::Get();
   while (!stop_.load(std::memory_order_acquire) &&
          !draining_.load(std::memory_order_acquire) && !crashed()) {
+    ReapFinishedHandlers();
     Result<Socket> conn = Accept(listener_, /*deadline_ms=*/50);
     if (!conn.ok()) continue;  // timeout or transient; re-check stop flag
     if (fi != nullptr) {
@@ -93,10 +101,11 @@ void NodeServer::AcceptLoop() {
       if (d.fail || d.crash) continue;  // connection dropped at accept
     }
     std::lock_guard<std::mutex> lock(handlers_mu_);
-    handlers_.emplace_back(
-        [this, c = std::move(conn).value()]() mutable {
-          HandleConnection(std::move(c));
-        });
+    Handler& h = handlers_.emplace_back();
+    h.thread = std::thread([this, &h, c = std::move(conn).value()]() mutable {
+      HandleConnection(std::move(c));
+      h.done.store(true, std::memory_order_release);
+    });
   }
 }
 
@@ -338,62 +347,8 @@ bool NodeServer::HandleQuery(Socket& conn, uint64_t request_id,
   const auto wall_start = std::chrono::steady_clock::now();
 
   wire::WireQueryResponse resp;
-  Status exec_status;
-  {
-    // Trace the node-side execution when asked; the spans ship back in the
-    // response and the coordinator grafts them under its RPC span.
-    std::unique_ptr<obs::QueryTrace> trace;
-    if (req.value().want_trace) {
-      trace = std::make_unique<obs::QueryTrace>("node_query");
-    }
-    {
-      obs::ScopedTrace install_trace(trace.get());
-      const TieredStore::Stats io_before = tier_.stats();
-      CpuTimer cpu;
-      for (uint32_t seg : req.value().segments) {
-        SegPartial partial;
-        SegmentExecStats exec;
-        Result<bool> processed = ExecuteSegmentQuery(
-            tier_, static_cast<int>(seg), req.value().strategy_ids,
-            req.value().metric_ids, req.value().date_lo,
-            req.value().date_hi, options_.retry,
-            req.value().allow_degraded, &partial, &exec);
-        resp.retries += static_cast<uint32_t>(exec.retries);
-        resp.faults_survived += static_cast<uint32_t>(exec.faults_survived);
-        if (!processed.ok()) {
-          exec_status = processed.status();
-          break;
-        }
-        wire::WireSegmentResult out;
-        out.segment = seg;
-        if (processed.value()) {
-          out.sums = std::move(partial.sums);
-          out.counts = std::move(partial.counts);
-        } else {
-          out.lost = 1;  // degraded: named explicitly, never silent
-        }
-        resp.segments.push_back(std::move(out));
-      }
-      resp.cpu_seconds = cpu.ElapsedSeconds();
-      const TieredStore::Stats io_after = tier_.stats();
-      resp.bytes_from_cold =
-          io_after.bytes_from_cold - io_before.bytes_from_cold;
-      resp.hot_hits = io_after.hot_hits - io_before.hot_hits;
-    }
-    // ScopedTrace closed the root above, so every shipped span is closed.
-    if (trace != nullptr) {
-      for (const obs::QueryTrace::Span& s : trace->spans()) {
-        wire::WireSpan ws;
-        ws.id = s.id;
-        ws.parent_id = s.parent_id;
-        ws.name = s.name;
-        ws.start_ns = s.start_ns;
-        ws.duration_ns = s.duration_ns;
-        ws.attrs = s.attrs;
-        resp.spans.push_back(std::move(ws));
-      }
-    }
-  }
+  const Status exec_status =
+      ExecuteQueryRequest(tier_, req.value(), options_.retry, {}, &resp);
   uint64_t lost = 0;
   for (const wire::WireSegmentResult& seg : resp.segments) {
     if (seg.lost != 0) ++lost;

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -79,8 +80,24 @@ class NodeServer {
     return backpressure_rejections_.load(std::memory_order_relaxed);
   }
 
+  // Connection-handler threads currently held (running, or finished and
+  // not yet joined by the accept loop). Test accessor.
+  size_t retained_handlers_for_testing() const {
+    std::lock_guard<std::mutex> lock(handlers_mu_);
+    return handlers_.size();
+  }
+
  private:
+  // One connection's handler thread; `done` is set as its last act, so the
+  // accept loop can join it without ever waiting on a live connection.
+  struct Handler {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+
   void AcceptLoop();
+  // Joins and drops every handler that has marked itself done.
+  void ReapFinishedHandlers();
   void HandleConnection(Socket conn);
   // Builds and sends the response for one query request; returns false when
   // the connection must close (injected crash or dead socket).
@@ -119,8 +136,8 @@ class NodeServer {
   std::atomic<int64_t> last_query_ns_{0};
 
   std::thread accept_thread_;
-  std::mutex handlers_mu_;
-  std::vector<std::thread> handlers_;
+  mutable std::mutex handlers_mu_;
+  std::list<Handler> handlers_;
 };
 
 }  // namespace net

@@ -1,5 +1,8 @@
 #include "storage/tiered_store.h"
 
+#include <chrono>
+#include <thread>
+
 #include "common/check.h"
 #include "common/fault_injector.h"
 #include "obs/metrics.h"
@@ -9,9 +12,9 @@ namespace expbsi {
 namespace {
 
 // Registry mirror of the per-instance Stats (docs/OBSERVABILITY.md). The
-// per-instance struct stays authoritative -- AdhocCluster diffs it per node
-// to attribute cold bytes -- while these process-wide counters feed the
-// scrape. Both are bumped at the same points.
+// per-instance struct stays authoritative -- node-side query execution
+// diffs it per request to attribute cold bytes -- while these process-wide
+// counters feed the scrape. Both are bumped at the same points.
 struct TierMetrics {
   obs::Counter& hot_hits = obs::GetCounter("tier.hot_hits");
   obs::Counter& cold_reads = obs::GetCounter("tier.cold_reads");
@@ -60,7 +63,8 @@ Result<std::shared_ptr<const std::string>> TieredStore::Fetch(
     if (fault.delay_seconds > 0) {
       ++stats_.injected_faults;
       Metrics().injected_faults.Add();
-      stats_.injected_delay_seconds += fault.delay_seconds;
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(fault.delay_seconds));
     }
     if (fault.fail) {
       ++stats_.injected_faults;

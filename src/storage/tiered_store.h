@@ -16,7 +16,8 @@ namespace expbsi {
 // recently visited) on fast local storage and pull cold data from the
 // distributed warehouse on demand. Here the cold tier is a BsiStore and the
 // hot tier an LRU cache with a byte budget; reads through the cold path are
-// accounted as simulated network traffic.
+// accounted as simulated network traffic (an injected delay sleeps, lock
+// held, like a slow transfer on the node's one link to the warehouse).
 //
 // Thread-safe: Fetch / Warm / stats may be called concurrently (ad-hoc query
 // nodes serve parallel queries against one shared tier).
@@ -30,10 +31,9 @@ class TieredStore {
     // Blobs larger than the whole hot budget are served straight from cold
     // without being cached (caching one would evict the entire tier).
     uint64_t oversize_bypasses = 0;
-    // Fault injection (chaos tests): injected fetch failures/corruptions
-    // observed at this tier, and simulated latency added by kDelay faults.
+    // Fault injection (chaos tests): injected fetch failures, corruptions
+    // and delays observed at this tier.
     uint64_t injected_faults = 0;
-    double injected_delay_seconds = 0.0;
     // Integrity gate: fingerprint checks run on cold copies (always for
     // recovery-loaded blobs, and for every copy under an installed
     // injector) and mismatches surfaced as Status::Corruption.
@@ -60,10 +60,6 @@ class TieredStore {
   Stats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
-  }
-  void ResetStats() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = Stats();
   }
 
   size_t hot_bytes() const {

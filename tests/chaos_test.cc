@@ -414,11 +414,12 @@ TEST_F(ChaosTest, CrashDuringRequeueStillCompletes) {
   config.num_nodes = 3;
   config.allow_degraded = true;
   AdhocCluster cluster(dataset_, bsi_, config);
-  // 6 segments over 3 nodes: node0={0,3} node1={1,4} node2={2,5}. Wave-1
-  // coordinator order evaluates adhoc.node_segment ops 0..4 (node0 crashes
-  // at op 0, so segments 1,4,2,5 take ops 1-4); the wave-2 requeue puts
-  // segment 0 on node1 (op 5, crash again) and segment 3 on node2 (op 6);
-  // wave 3 retries segment 0 on node2 (op 7).
+  // 6 segments over 3 nodes, rendezvous primaries node0={0,1} node1={2,3}
+  // node2={4,5}. Wave 1 evaluates adhoc.node_segment ops 0..4 (node0
+  // crashes at op 0, so segments 2,3,4,5 take ops 1-4); in wave 2 segment 0
+  // fails over to node2 and segment 1 to node1, which runs first (op 5,
+  // crash again) before node2 runs segment 0 (op 6); wave 3 sends segment 1
+  // to its last replica, node2 (op 7).
   FaultInjector injector(/*seed=*/12);
   injector.ScheduleFault(fault_sites::kNodeSegment, 0, FaultKind::kCrash);
   injector.ScheduleFault(fault_sites::kNodeSegment, 5, FaultKind::kCrash);

@@ -4,9 +4,12 @@
 
 #include "cluster/adhoc_cluster.h"
 #include "cluster/precompute_pipeline.h"
+#include "common/fault_injector.h"
 #include "engine/experiment_data.h"
 #include "engine/scorecard.h"
 #include "expdata/generator.h"
+#include "reference/ref_data.h"
+#include "reference/ref_engine.h"
 
 namespace expbsi {
 namespace {
@@ -182,7 +185,7 @@ TEST_F(ClusterTest, QueryStatsCarryFinishedTraceTree) {
     EXPECT_FALSE(span.open);
     EXPECT_LT(span.parent_id, span.id);
     if (span.name == "wave") has_wave = true;
-    if (span.name == "node_execute") has_node = true;
+    if (span.name == "node_rpc") has_node = true;
     if (span.name == "segment_execute") has_segment = true;
   }
   EXPECT_TRUE(has_wave);
@@ -293,6 +296,98 @@ TEST_F(ClusterTest, SegmentOwnershipCoversAllNodes) {
     ++owned[node];
   }
   for (int n : owned) EXPECT_GT(n, 0);
+}
+
+// Value of span attribute `key`, or -1 when the span does not carry it.
+int64_t SpanAttr(const obs::QueryTrace::Span& span, const std::string& key) {
+  for (const auto& [k, v] : span.attrs) {
+    if (k == key) return static_cast<int64_t>(v);
+  }
+  return -1;
+}
+
+// The normal-format baseline scans the same per-node ownership as the BSI
+// path: each node_scan span names as many segments as the node has
+// rendezvous primaries.
+TEST_F(ClusterTest, NormalBitmapScansEachNodesPrimarySegments) {
+  AdhocClusterConfig config;
+  config.num_nodes = 3;
+  AdhocCluster cluster(dataset_, bsi_, config);
+  std::vector<int64_t> primaries(config.num_nodes, 0);
+  for (int seg = 0; seg < dataset_->config.num_segments; ++seg) {
+    ++primaries[cluster.NodeOfSegment(seg)];
+  }
+  const auto stats = cluster.QueryNormalBitmap({801}, {901}, 50, 56);
+  ASSERT_TRUE(stats.ok());
+  int node_scans = 0;
+  for (const auto& span : stats.value().trace->spans()) {
+    if (span.name != "node_scan") continue;
+    ++node_scans;
+    const int64_t node = SpanAttr(span, "node");
+    ASSERT_GE(node, 0);
+    ASSERT_LT(node, config.num_nodes);
+    EXPECT_EQ(SpanAttr(span, "segments"), primaries[node]) << "node " << node;
+  }
+  EXPECT_EQ(node_scans, config.num_nodes);
+}
+
+// A node crash is scoped to its query: the next query on the same cluster
+// is complete and bit-identical to the scalar oracle.
+TEST_F(ClusterTest, NodeCrashInOneQueryLeavesTheNextComplete) {
+  AdhocClusterConfig config;
+  config.num_nodes = 3;
+  AdhocCluster cluster(dataset_, bsi_, config);
+  const std::vector<uint64_t> strategies = {801, 802, 803};
+  const std::vector<uint64_t> metrics = {901, 902};
+  FaultInjector injector(/*seed=*/21);
+  // Op 0 is the first segment of the first node in query 1's first wave.
+  injector.ScheduleFault(fault_sites::kNodeSegment, 0, FaultKind::kCrash);
+  ScopedFaultInjection scoped(&injector);
+  const auto first = cluster.QueryBsi(strategies, metrics, 50, 56);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value().degraded.nodes_lost, 1);
+  const auto second = cluster.QueryBsi(strategies, metrics, 50, 56);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(injector.stats().crashes, 1u);
+  EXPECT_FALSE(second.value().degraded.degraded());
+  EXPECT_EQ(second.value().degraded.nodes_lost, 0);
+  EXPECT_EQ(second.value().degraded.segments_answered,
+            dataset_->config.num_segments);
+  const RefExperimentData ref = BuildRefExperimentData(*dataset_);
+  ASSERT_EQ(second.value().results.size(),
+            strategies.size() * metrics.size());
+  for (const auto& [pair, values] : second.value().results) {
+    const BucketValues want =
+        RefComputeStrategyMetric(ref, pair.first, pair.second, 50, 56);
+    EXPECT_EQ(values.sums, want.sums) << pair.first << "/" << pair.second;
+    EXPECT_EQ(values.counts, want.counts);
+  }
+}
+
+// latency_seconds is the query's measured wall time. The in-process nodes
+// run one after another, so it covers every node's RPC and every node's
+// grafted execution tree end to end.
+TEST_F(ClusterTest, LatencyIsMeasuredWallTimeOverSerialNodes) {
+  AdhocClusterConfig config;
+  config.num_nodes = 3;
+  AdhocCluster cluster(dataset_, bsi_, config);
+  const auto stats = cluster.QueryBsi({801, 802}, {901, 902}, 50, 56);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GT(stats.value().latency_seconds, 0.0);
+  uint64_t rpc_ns = 0, node_query_ns = 0;
+  int rpcs = 0;
+  for (const auto& span : stats.value().trace->spans()) {
+    if (span.name == "node_rpc") {
+      ++rpcs;
+      rpc_ns += span.duration_ns;
+    }
+    if (span.name == "node_query") node_query_ns += span.duration_ns;
+  }
+  EXPECT_EQ(rpcs, config.num_nodes);
+  EXPECT_GT(node_query_ns, 0u);
+  const double latency_ns = stats.value().latency_seconds * 1e9;
+  EXPECT_GE(latency_ns, static_cast<double>(rpc_ns));
+  EXPECT_GE(latency_ns, static_cast<double>(node_query_ns));
 }
 
 }  // namespace

@@ -535,6 +535,28 @@ TEST_F(NetServingTest, CoordinatorMatchesInProcessClusterAndEngine) {
   for (auto& node : nodes) node->Stop();
 }
 
+// A long-lived node does not keep the handler thread of every connection
+// it has served: finished handlers are joined by the accept loop, so
+// sequential queries on fresh connections hold only a few at any time.
+TEST_F(NetServingTest, FinishedConnectionHandlersAreReaped) {
+  net::CoordinatorOptions options;
+  std::vector<std::unique_ptr<net::NodeServer>> nodes =
+      StartNodes(1, &options);
+  net::Coordinator coordinator(options);
+  constexpr int kQueries = 2000;
+  size_t max_retained = 0;
+  for (int i = 0; i < kQueries; ++i) {
+    const Result<AdhocCluster::QueryStats> stats =
+        coordinator.QueryBsi({801}, {901}, 10, 10);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    max_retained =
+        std::max(max_retained, nodes[0]->retained_handlers_for_testing());
+  }
+  EXPECT_EQ(nodes[0]->queries_served(), static_cast<uint64_t>(kQueries));
+  EXPECT_LT(max_retained, 10u);
+  nodes[0]->Stop();
+}
+
 TEST_F(NetServingTest, RemoteSpansAreGraftedIntoTheQueryTrace) {
   net::CoordinatorOptions options;
   std::vector<std::unique_ptr<net::NodeServer>> nodes =
