@@ -183,6 +183,46 @@ void BM_BsiGroupSumByBucket(benchmark::State& state) {
 }
 BENCHMARK(BM_BsiGroupSumByBucket)->Arg(16)->Arg(1024);
 
+// One (day, segment) call of the precompute batch (perfbench's
+// precompute_1024b): a 32,768-position segment over 1,024 uniform buckets,
+// a ~9,000-position day mask and 10-slice values.
+struct PrecomputeShape {
+  static constexpr int kBuckets = 1024;
+  Bsi value;
+  Bsi bucket;
+  RoaringBitmap mask;
+
+  PrecomputeShape() {
+    constexpr uint32_t kPositions = 32768;
+    value = MakeBsi(1, kPositions, 0.6, 1023);
+    Rng rng(11);
+    std::vector<std::pair<uint32_t, uint64_t>> bucket_pairs;
+    for (uint32_t pos = 0; pos < kPositions; ++pos) {
+      bucket_pairs.emplace_back(pos, 1 + rng.NextBounded(kBuckets));
+      if (rng.NextBernoulli(9000.0 / kPositions)) mask.Add(pos);
+    }
+    bucket = Bsi::FromPairs(std::move(bucket_pairs));
+  }
+};
+
+void BM_BsiGroupSumPrecomputeShape(benchmark::State& state) {
+  const PrecomputeShape s;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        GroupSumByBucket(s.value, s.bucket, PrecomputeShape::kBuckets, s.mask));
+  }
+}
+BENCHMARK(BM_BsiGroupSumPrecomputeShape);
+
+void BM_BsiGroupCountPrecomputeShape(benchmark::State& state) {
+  const PrecomputeShape s;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        GroupCountByBucket(s.bucket, PrecomputeShape::kBuckets, s.mask));
+  }
+}
+BENCHMARK(BM_BsiGroupCountPrecomputeShape);
+
 void BM_BsiFromPairs(benchmark::State& state) {
   Rng rng(4);
   std::vector<std::pair<uint32_t, uint64_t>> pairs;

@@ -14,7 +14,9 @@ Rules (RULES below), each with the files allowed to hold the concept:
   * bucket fold -- FoldIntoBuckets in src/engine/experiment_data.cc is the
     only place masked sums and counts fold into per-bucket replicates
     (DESIGN.md §4).  Only src/bsi/bsi_group_by.*, that file and the scalar
-    oracle in src/reference/ may call GroupSumByBucket or GroupCountByBucket.
+    oracle in src/reference/ may call GroupSumByBucket or GroupCountByBucket,
+    and no file under src/ outside src/bsi/bsi_group_by.* calls
+    PartitionByBucket (its per-bucket bitmaps are for benches and tests).
   * one scatter/gather -- net::Coordinator is the only scatter/gather
     (DESIGN.md §5, §9): only src/net/coordinator.cc merges per-segment
     partials into a scorecard (calls StoreSegmentPartial), and only
@@ -53,11 +55,12 @@ READER_RE = re.compile(r"\b(?:class|struct)\s+ByteReader\b\s*(?:final\s*)?[:{]")
 SCALAR_BYTES_RE = re.compile(r"reinterpret_cast<\s*const\s+char\s*\*\s*>\s*\(\s*&")
 GROUP_BY_CALL_RE = re.compile(
     r"\b(?P<name>GroupSumByBucket|GroupCountByBucket)\s*\(")
+PARTITION_CALL_RE = re.compile(r"\b(?P<name>PartitionByBucket)\s*\(")
 MERGE_CALL_RE = re.compile(r"\b(?P<name>StoreSegmentPartial)\s*\(")
 EXECUTE_CALL_RE = re.compile(r"\b(?P<name>ExecuteSegmentQuery)\s*\(")
 
-FOLD_FILES = {P("bsi/bsi_group_by.h"), P("bsi/bsi_group_by.cc"),
-              P("engine/experiment_data.cc")}
+GROUP_BY_FILES = {P("bsi/bsi_group_by.h"), P("bsi/bsi_group_by.cc")}
+FOLD_FILES = GROUP_BY_FILES | {P("engine/experiment_data.cc")}
 SEGMENT_QUERY_FILES = {P("cluster/segment_query.h"),
                        P("cluster/segment_query.cc")}
 
@@ -82,6 +85,17 @@ RULES = (
         fix="fold through FoldIntoBuckets (engine/experiment_data.h) instead",
         ok="bucket fold lint: FoldIntoBuckets in "
            "src/engine/experiment_data.cc is the only bucket fold",
+    ),
+    Rule(
+        anchor=P("bsi/bsi_group_by.cc"),
+        allowed=lambda rel: rel in GROUP_BY_FILES,
+        patterns=(
+            (PARTITION_CALL_RE, "name", lambda m: f"calls {m.group('name')}"),
+        ),
+        fix="fold through FoldIntoBuckets (engine/experiment_data.h), which "
+            "groups without per-bucket bitmaps, instead",
+        ok="bucket partition lint: nothing under src/ outside "
+           "src/bsi/bsi_group_by.* calls PartitionByBucket",
     ),
     Rule(
         anchor=P("net/coordinator.cc"),

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,16 +21,20 @@
 #include "engine/experiment_data.h"
 #include "engine/scorecard.h"
 #include "expdata/generator.h"
+#include "reference/ref_data.h"
+#include "reference/ref_engine.h"
 #include "storage/tiered_store.h"
 
 namespace expbsi {
 namespace {
 
-Dataset MakeDataset() {
+// num_buckets 0 keeps buckets == segments, the mode AdhocCluster requires.
+Dataset MakeDataset(int num_buckets = 0) {
   DatasetConfig config;
-  config.num_users = 400;
+  config.num_users = num_buckets == 0 ? 400 : 4000;
   config.num_segments = 4;
-  config.bucket_equals_segment = true;  // required by AdhocCluster
+  config.bucket_equals_segment = num_buckets == 0;
+  if (num_buckets != 0) config.num_buckets = num_buckets;
   config.num_days = 4;
   config.seed = 1234;
   ExperimentConfig experiment;
@@ -156,18 +161,18 @@ TEST(ConcurrencyTest, AdhocClusterParallelQueryBsi) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(ConcurrencyTest, PrecomputePipelineParallelWorkers) {
-  const Dataset dataset = MakeDataset();
-  const ExperimentBsiData bsi = BuildExperimentBsiData(dataset, true);
+// Runs two pipelines over `pairs` concurrently, each fanning its batches
+// out over its own 4-worker pool -- pipeline workers race against each other
+// and against the other pipeline's readers of the shared (const) BSI data --
+// then checks both pipelines' results against want(pair).
+void ExpectParallelPipelinesMatch(
+    const Dataset& dataset, const ExperimentBsiData& bsi,
+    const std::function<BucketValues(const StrategyMetricPair&)>& want) {
   const Date lo = 0, hi = 3;
   std::vector<StrategyMetricPair> pairs;
   for (const uint64_t s : {700, 701}) {
     for (const uint64_t m : {31, 32}) pairs.push_back({s, m});
   }
-
-  // Two pipelines run concurrently, each fanning its batches out over its
-  // own 4-worker pool -- pipeline workers race against each other and
-  // against the other pipeline's readers of the shared (const) BSI data.
   auto run = [&](PrecomputePipeline* pipeline) {
     pipeline->RunBsi(pairs, lo, hi);
   };
@@ -182,15 +187,36 @@ TEST(ConcurrencyTest, PrecomputePipelineParallelWorkers) {
   tb.join();
 
   for (const StrategyMetricPair& pair : pairs) {
-    const BucketValues want = ComputeStrategyMetricBsi(
-        bsi, pair.first, pair.second, lo, hi);
+    const BucketValues expected = want(pair);
     for (PrecomputePipeline* pipeline : {&a, &b}) {
       const BucketValues* got = pipeline->GetResult(pair);
       ASSERT_NE(got, nullptr);
-      EXPECT_EQ(got->sums, want.sums);
-      EXPECT_EQ(got->counts, want.counts);
+      EXPECT_EQ(got->sums, expected.sums);
+      EXPECT_EQ(got->counts, expected.counts);
     }
   }
+}
+
+TEST(ConcurrencyTest, PrecomputePipelineParallelWorkers) {
+  const Dataset dataset = MakeDataset();
+  const ExperimentBsiData bsi = BuildExperimentBsiData(dataset, true);
+  ExpectParallelPipelinesMatch(
+      dataset, bsi, [&bsi](const StrategyMetricPair& pair) {
+        return ComputeStrategyMetricBsi(bsi, pair.first, pair.second, 0, 3);
+      });
+}
+
+// The same race at the paper's 1,024 buckets, where every worker runs the
+// bucket scatter with its own thread's scratch leases; checked against the
+// scalar oracle.
+TEST(ConcurrencyTest, PrecomputePipelineParallelWorkers1024Buckets) {
+  const Dataset dataset = MakeDataset(/*num_buckets=*/1024);
+  const ExperimentBsiData bsi = BuildExperimentBsiData(dataset, true);
+  const RefExperimentData ref = BuildRefExperimentData(dataset);
+  ExpectParallelPipelinesMatch(
+      dataset, bsi, [&ref](const StrategyMetricPair& pair) {
+        return RefComputeStrategyMetric(ref, pair.first, pair.second, 0, 3);
+      });
 }
 
 }  // namespace

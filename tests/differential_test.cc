@@ -939,6 +939,51 @@ TEST(DifferentialTest, EnginesMatchScalarOracle) {
   }
 }
 
+// The precompute batch's shape, which GenDataset (<= 300 users, <= 12
+// buckets) never draws: the paper's 1,024 buckets over one segment wider
+// than a 2^16 chunk, so the bucket scatter crosses a chunk boundary with
+// bitmap-dense masks and slices.
+TEST(DifferentialTest, WideSegmentAt1024BucketsMatchesScalarOracle) {
+  DatasetConfig config;
+  config.num_users = 70000;
+  config.num_segments = 1;
+  config.bucket_equals_segment = false;
+  config.num_buckets = 1024;
+  config.num_days = 3;
+  config.seed = 0x1024B;
+  ExperimentConfig experiment;
+  experiment.strategy_ids = {propgen::kFuzzControlStrategy,
+                             propgen::kFuzzTreatmentStrategy};
+  experiment.arm_effects = {1.0, 1.1};
+  MetricConfig metric;
+  metric.metric_id = propgen::kFuzzMetricA;
+  metric.value_range = 1000;
+  metric.daily_participation = 0.6;
+  const Dataset dataset = GenerateDataset(config, {experiment}, {metric}, {});
+  const ExperimentBsiData bsi = BuildExperimentBsiData(dataset, true);
+  const RefExperimentData ref = BuildRefExperimentData(dataset);
+  const Date lo = config.start_date;
+  const Date hi = lo + config.num_days - 1;
+  for (const uint64_t strategy :
+       {propgen::kFuzzControlStrategy, propgen::kFuzzTreatmentStrategy}) {
+    const ExposeBsi* expose = bsi.segments[0].FindExpose(strategy);
+    ASSERT_NE(expose, nullptr);
+    ASSERT_GT(expose->bucket.existence().Maximum(), 65535u);
+    const std::string ctx = "strategy=" + std::to_string(strategy);
+    const BucketValues want =
+        RefComputeStrategyMetric(ref, strategy, propgen::kFuzzMetricA, lo, hi);
+    ExpectBucketsBitEqual(ComputeStrategyMetricBsi(bsi, strategy,
+                                                   propgen::kFuzzMetricA, lo,
+                                                   hi),
+                          want, ctx);
+    ExpectBucketsBitEqual(
+        ComputeStrategyMetricBsiCached(
+            bsi, ExposeMaskCache::Build(bsi, strategy, lo, hi),
+            propgen::kFuzzMetricA, lo, hi),
+        want, ctx + " cached");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Ad-hoc EQL queries: RunQuery vs RefRunQuery, including error parity.
 // ---------------------------------------------------------------------------
