@@ -1,9 +1,10 @@
 // Ablation: multi-operand kernels (CSA sumBSI, lazy union accumulation) vs
-// the legacy pairwise-chain folds, on the workloads the paper's wins reduce
-// to -- the Fig. 6 pre-aggregate sum over N days and the Table 6 per-user
-// multi-day aggregation. Reports time per op AND heap allocation churn per
-// op (this binary replaces global operator new to count every allocation),
-// since the pairwise chain's cost is mostly re-materializing containers.
+// the paper's pairwise-chain folds (tests/support/pairwise_kernels.h), on
+// the workloads the paper's wins reduce to -- the Fig. 6 pre-aggregate sum
+// over N days and the Table 6 per-user multi-day aggregation. Reports time
+// per op AND heap allocation churn per op (this binary replaces global
+// operator new to count every allocation), since the pairwise chain's cost
+// is mostly re-materializing containers.
 //
 // Machine-readable output: one BENCHJSON line per measurement,
 //   BENCHJSON {"op": ..., "ns_per_op": ..., "bytes_per_op": ...,
@@ -21,6 +22,7 @@
 #include "bsi/bsi_aggregate.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "tests/support/pairwise_kernels.h"
 
 using namespace expbsi;
 
@@ -119,8 +121,8 @@ int main() {
 
   // The two paths under comparison must agree bit for bit on this exact
   // workload, or the timings below are meaningless.
-  if (!(SumBsiCsa(all_days) == SumBsiPairwise(all_days)) ||
-      !(DistinctPosLazy(all_days) == DistinctPosPairwise(all_days))) {
+  if (!(SumBsi(all_days) == pairwise::SumBsi(all_days)) ||
+      !(DistinctPos(all_days) == pairwise::DistinctPos(all_days))) {
     std::printf("KERNEL MISMATCH: CSA/lazy disagrees with pairwise!\n");
     return 1;
   }
@@ -130,41 +132,41 @@ int main() {
 
   // N-operand sumBSI, N = 8 (the acceptance-criteria workload) and N = 28.
   const Measurement csa8 =
-      Measure(5, [&] { SumBsiCsa(eight_days).Sum(); });
+      Measure(5, [&] { SumBsi(eight_days).Sum(); });
   Report("sum_bsi_csa_n8", csa8);
   const Measurement pair8 =
-      Measure(5, [&] { SumBsiPairwise(eight_days).Sum(); });
+      Measure(5, [&] { pairwise::SumBsi(eight_days).Sum(); });
   Report("sum_bsi_pairwise_n8", pair8);
 
-  const Measurement csa28 = Measure(3, [&] { SumBsiCsa(all_days).Sum(); });
+  const Measurement csa28 = Measure(3, [&] { SumBsi(all_days).Sum(); });
   Report("sum_bsi_csa_n28", csa28);
   const Measurement pair28 =
-      Measure(3, [&] { SumBsiPairwise(all_days).Sum(); });
+      Measure(3, [&] { pairwise::SumBsi(all_days).Sum(); });
   Report("sum_bsi_pairwise_n28", pair28);
 
   // Multi-way union (distinctPos across 28 days of existence bitmaps), on
   // the dense metric existences above and on sparse visitor masks spread
   // over an 8x wider position universe.
   const Measurement lazy =
-      Measure(5, [&] { DistinctPosLazy(all_days).Cardinality(); });
+      Measure(5, [&] { DistinctPos(all_days).Cardinality(); });
   Report("distinct_pos_lazy_n28", lazy);
   const Measurement pairwise_or =
-      Measure(5, [&] { DistinctPosPairwise(all_days).Cardinality(); });
+      Measure(5, [&] { pairwise::DistinctPos(all_days).Cardinality(); });
   Report("distinct_pos_pairwise_n28", pairwise_or);
 
   const std::vector<Bsi> visitors =
       MakeSparseVisitorBsis(users * 8, kDays, 0.015);
   std::vector<const Bsi*> visitor_days;
   for (const Bsi& b : visitors) visitor_days.push_back(&b);
-  if (!(DistinctPosLazy(visitor_days) == DistinctPosPairwise(visitor_days))) {
+  if (!(DistinctPos(visitor_days) == pairwise::DistinctPos(visitor_days))) {
     std::printf("KERNEL MISMATCH: lazy union disagrees on sparse masks!\n");
     return 1;
   }
   const Measurement lazy_sparse =
-      Measure(5, [&] { DistinctPosLazy(visitor_days).Cardinality(); });
+      Measure(5, [&] { DistinctPos(visitor_days).Cardinality(); });
   Report("distinct_pos_lazy_sparse_n28", lazy_sparse);
   const Measurement pairwise_sparse =
-      Measure(5, [&] { DistinctPosPairwise(visitor_days).Cardinality(); });
+      Measure(5, [&] { pairwise::DistinctPos(visitor_days).Cardinality(); });
   Report("distinct_pos_pairwise_sparse_n28", pairwise_sparse);
 
   // Weighted sum, N = 8 (preference-query / covariance shapes).
@@ -173,10 +175,10 @@ int main() {
     weighted.push_back({&days[i], static_cast<uint64_t>(1 + 3 * i)});
   }
   const Measurement wcsa =
-      Measure(5, [&] { WeightedSumBsiCsa(weighted).Sum(); });
+      Measure(5, [&] { WeightedSumBsi(weighted).Sum(); });
   Report("weighted_sum_csa_n8", wcsa);
   const Measurement wpair =
-      Measure(5, [&] { WeightedSumBsiPairwise(weighted).Sum(); });
+      Measure(5, [&] { pairwise::WeightedSumBsi(weighted).Sum(); });
   Report("weighted_sum_pairwise_n8", wpair);
 
   std::printf("\nspeedups (pairwise / multi-operand):\n");

@@ -9,7 +9,9 @@
 //
 // Both paths compute sum-of-value-per-user over two days: sumBSI of two day
 // BSIs per segment vs a hash group-by over the rows -- single-threaded, as
-// in the paper's evaluation program.
+// in the paper's evaluation program. The BSI sum also runs through the
+// paper's slice-by-slice ripple-carry adder (pairwise::Add), so the word
+// kernel's gain or loss against it is measured on the same operands.
 
 #include <cstdio>
 #include <map>
@@ -22,6 +24,7 @@
 #include "expdata/bsi_builder.h"
 #include "expdata/generator.h"
 #include "expdata/position_encoder.h"
+#include "tests/support/pairwise_kernels.h"
 
 using namespace expbsi;
 
@@ -115,8 +118,8 @@ int main() {
   // ---- Table 6 ----
   std::printf("\nTable 6 (two-day per-user sum, avg of %d runs):\n",
               kRepeats);
-  std::printf("%-7s %15s %15s %10s %22s\n", "Metric", "Normal", "BSI",
-              "speedup", "paper normal/BSI");
+  std::printf("%-7s %15s %15s %15s %10s %22s\n", "Metric", "Normal", "BSI",
+              "BSI pairwise", "speedup", "paper normal/BSI");
   const char* paper[] = {"59.2s / 0.6s (99x)", "7.3s / 1.3s (5.6x)",
                          "94.3s / 10.5s (9x)"};
   idx = 0;
@@ -153,17 +156,43 @@ int main() {
     }
     bsi_seconds /= kRepeats;
 
-    if (normal_checksum / kRepeats != bsi_checksum / kRepeats) {
+    // BSI, pairwise: the same per-segment sums through the paper's
+    // ripple-carry adder, checked bit for bit against the word kernel.
+    for (int seg = 0; seg < kSegments; ++seg) {
+      const std::vector<Bsi>& days = md.bsi_by_segment[seg];
+      if (!(pairwise::Add(days[0], days[1]) == SumBsi(days[0], days[1]))) {
+        std::printf("PAIRWISE MISMATCH for metric %s!\n", names[idx]);
+        return 1;
+      }
+    }
+    double pairwise_seconds = 0;
+    uint64_t pairwise_checksum = 0;
+    for (int r = 0; r < kRepeats; ++r) {
+      CpuTimer timer;
+      for (int seg = 0; seg < kSegments; ++seg) {
+        Bsi sum = pairwise::Add(md.bsi_by_segment[seg][0],
+                                md.bsi_by_segment[seg][1]);
+        pairwise_checksum += sum.Cardinality();
+      }
+      pairwise_seconds += timer.ElapsedSeconds();
+    }
+    pairwise_seconds /= kRepeats;
+
+    if (normal_checksum / kRepeats != bsi_checksum / kRepeats ||
+        pairwise_checksum != bsi_checksum) {
       std::printf("CHECKSUM MISMATCH for metric %s!\n", names[idx]);
       return 1;
     }
-    std::printf("%-7s %13.1fms %13.1fms %9.1fx %22s\n", names[idx],
+    std::printf("%-7s %13.1fms %13.1fms %13.1fms %9.1fx %22s\n", names[idx],
                 normal_seconds * 1e3, bsi_seconds * 1e3,
-                normal_seconds / bsi_seconds, paper[idx]);
+                pairwise_seconds * 1e3, normal_seconds / bsi_seconds,
+                paper[idx]);
     std::printf("BENCHJSON {\"op\": \"table6_normal_metric_%s\", "
                 "\"ns_per_op\": %.0f}\n", names[idx], normal_seconds * 1e9);
     std::printf("BENCHJSON {\"op\": \"table6_bsi_metric_%s\", "
                 "\"ns_per_op\": %.0f}\n", names[idx], bsi_seconds * 1e9);
+    std::printf("BENCHJSON {\"op\": \"table6_bsi_pairwise_metric_%s\", "
+                "\"ns_per_op\": %.0f}\n", names[idx], pairwise_seconds * 1e9);
     ++idx;
   }
   std::printf("\n(normal format must re-aggregate every row through a hash "

@@ -23,6 +23,11 @@ Rules (RULES below), each with the files allowed to hold the concept:
     ExecuteQueryRequest in src/cluster/segment_query.cc, the node-side
     execution both node links run, calls ExecuteSegmentQuery.  Both are
     defined in src/cluster/segment_query.*.
+  * one kernel path -- the library runs only its word-level BSI kernels
+    (DESIGN.md §4); the paper's pairwise folds live in
+    tests/support/pairwise_kernels.* for the tests and the ablation benches.
+    No file under src/ names MultiOpKernel (or its Get/Set accessors),
+    EXPBSI_LEGACY_PAIRWISE, or an identifier ending in Pairwise.
 
 Comments are stripped before matching.
 
@@ -58,6 +63,8 @@ GROUP_BY_CALL_RE = re.compile(
 PARTITION_CALL_RE = re.compile(r"\b(?P<name>PartitionByBucket)\s*\(")
 MERGE_CALL_RE = re.compile(r"\b(?P<name>StoreSegmentPartial)\s*\(")
 EXECUTE_CALL_RE = re.compile(r"\b(?P<name>ExecuteSegmentQuery)\s*\(")
+KERNEL_SWITCH_RE = re.compile(
+    r"\b(?P<name>\w*MultiOpKernel|EXPBSI_LEGACY_PAIRWISE|\w*Pairwise)\b")
 
 GROUP_BY_FILES = {P("bsi/bsi_group_by.h"), P("bsi/bsi_group_by.cc")}
 FOLD_FILES = GROUP_BY_FILES | {P("engine/experiment_data.cc")}
@@ -119,6 +126,17 @@ RULES = (
             "(cluster/segment_query.h) instead",
         ok="node execution lint: ExecuteQueryRequest in "
            "src/cluster/segment_query.cc is the only node-side execution",
+    ),
+    Rule(
+        anchor=P("bsi/bsi_compare.cc"),
+        allowed=lambda rel: False,
+        patterns=(
+            (KERNEL_SWITCH_RE, "name", lambda m: f"names {m.group('name')}"),
+        ),
+        fix="call the word-level kernel; the pairwise folds belong in "
+            "tests/support/pairwise_kernels.*",
+        ok="kernel path lint: nothing under src/ names a kernel switch or a "
+           "pairwise kernel",
     ),
 )
 

@@ -69,15 +69,9 @@ class Bsi {
 
   // --- Arithmetic (paper §2.3) ---------------------------------------------
 
-  // S[j] = X[j] + Y[j] (positions missing from one operand contribute 0).
-  // Dispatches on the MultiOpKernel flag (bsi_aggregate.h): the default
-  // multi-operand kernel routes through the word-level carry-save adder,
-  // the legacy flag selects AddPairwise below.
+  // S[j] = X[j] + Y[j] (positions missing from one operand contribute 0),
+  // through the word-level carry-save adder of SumBsi (bsi_aggregate.h).
   static Bsi Add(const Bsi& x, const Bsi& y);
-
-  // The legacy slice-by-slice ripple-carry adder (allocating container ops
-  // per slice). Kept as the differential foil and the ablation baseline.
-  static Bsi AddPairwise(const Bsi& x, const Bsi& y);
 
   // *this = Add(*this, other): accumulation form for shift-add loops.
   void AddInPlace(const Bsi& other);
@@ -106,9 +100,8 @@ class Bsi {
 
   // --- Comparisons between two BSIs (Algorithms 1-3 + derived) -------------
   // All return the set of positions j where BOTH X[j] and Y[j] are present
-  // and the comparison holds. Implemented by the kernels in bsi_compare.h
-  // (word-level with runtime SIMD dispatch by default; the legacy pairwise
-  // path stays selectable via the MultiOpKernel flag).
+  // and the comparison holds. Implemented by the word-level kernels in
+  // bsi_compare.h (runtime SIMD dispatch).
 
   static RoaringBitmap Lt(const Bsi& x, const Bsi& y);   // Algorithm 1
   static RoaringBitmap Eq(const Bsi& x, const Bsi& y);   // Algorithm 2

@@ -1,9 +1,7 @@
 #include "bsi/bsi_aggregate.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "common/bit_util.h"
@@ -15,19 +13,6 @@
 
 namespace expbsi {
 namespace {
-
-MultiOpKernel KernelFromEnv() {
-  const char* env = std::getenv("EXPBSI_LEGACY_PAIRWISE");
-  if (env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0')) {
-    return MultiOpKernel::kPairwise;
-  }
-  return MultiOpKernel::kMultiOperand;
-}
-
-std::atomic<MultiOpKernel>& KernelFlag() {
-  static std::atomic<MultiOpKernel> flag{KernelFromEnv()};
-  return flag;
-}
 
 // One operand of the word-level carry-save sum: `container` holds the bits
 // of weight 2^level within chunk `key`. Containers are borrowed from the
@@ -211,15 +196,12 @@ Bsi WordCsaSum(std::vector<SliceRef> refs, RoaringBitmap existence) {
 
 }  // namespace
 
-MultiOpKernel GetMultiOpKernel() {
-  return KernelFlag().load(std::memory_order_relaxed);
-}
-
-void SetMultiOpKernel(MultiOpKernel kernel) {
-  KernelFlag().store(kernel, std::memory_order_relaxed);
-}
-
-Bsi SumBsiCsa(const std::vector<const Bsi*>& inputs) {
+Bsi SumBsi(const std::vector<const Bsi*>& inputs) {
+  if (inputs.empty()) return Bsi();
+  if (inputs.size() == 1) {
+    CHECK(inputs[0] != nullptr);
+    return *inputs[0];
+  }
   std::vector<SliceRef> refs;
   UnionAccumulator existence;
   uint64_t n_slices = 0;
@@ -241,36 +223,6 @@ Bsi SumBsiCsa(const std::vector<const Bsi*>& inputs) {
   return WordCsaSum(std::move(refs), existence.Finish());
 }
 
-Bsi SumBsiPairwise(const std::vector<const Bsi*>& inputs) {
-  Bsi acc;
-  bool seeded = false;
-  for (const Bsi* input : inputs) {
-    CHECK(input != nullptr);
-    if (input->IsEmpty()) continue;
-    if (!seeded) {
-      acc = *input;  // one copy to seed, instead of Add(empty, x) per round
-      seeded = true;
-    } else {
-      // Explicitly pairwise: Bsi::Add now dispatches on the kernel flag, and
-      // this entry point must stay the legacy baseline even when the flag
-      // says multi-operand (ablation benches call it directly).
-      acc = Bsi::AddPairwise(acc, *input);
-    }
-  }
-  return acc;
-}
-
-Bsi SumBsi(const std::vector<const Bsi*>& inputs) {
-  if (inputs.empty()) return Bsi();
-  if (inputs.size() == 1) {
-    CHECK(inputs[0] != nullptr);
-    return *inputs[0];
-  }
-  return GetMultiOpKernel() == MultiOpKernel::kMultiOperand
-             ? SumBsiCsa(inputs)
-             : SumBsiPairwise(inputs);
-}
-
 Bsi MaxBsi(const Bsi& x, const Bsi& y) {
   // Positions where x wins: x > y (both present) plus x-only positions.
   RoaringBitmap x_wins = Bsi::Gt(x, y);
@@ -290,7 +242,7 @@ Bsi MinBsi(const Bsi& x, const Bsi& y) {
                   Bsi::MultiplyByBinary(y, y_wins));
 }
 
-RoaringBitmap DistinctPosLazy(const std::vector<const Bsi*>& inputs) {
+RoaringBitmap DistinctPos(const std::vector<const Bsi*>& inputs) {
   UnionAccumulator acc;
   for (const Bsi* input : inputs) {
     CHECK(input != nullptr);
@@ -299,22 +251,8 @@ RoaringBitmap DistinctPosLazy(const std::vector<const Bsi*>& inputs) {
   return acc.Finish();
 }
 
-RoaringBitmap DistinctPosPairwise(const std::vector<const Bsi*>& inputs) {
-  RoaringBitmap out;
-  for (const Bsi* input : inputs) {
-    CHECK(input != nullptr);
-    out.OrInPlace(input->existence());
-  }
-  return out;
-}
-
-RoaringBitmap DistinctPos(const std::vector<const Bsi*>& inputs) {
-  return GetMultiOpKernel() == MultiOpKernel::kMultiOperand
-             ? DistinctPosLazy(inputs)
-             : DistinctPosPairwise(inputs);
-}
-
-Bsi WeightedSumBsiCsa(const std::vector<WeightedBsi>& inputs) {
+Bsi WeightedSumBsi(const std::vector<WeightedBsi>& inputs) {
+  if (inputs.empty()) return Bsi();
   std::vector<SliceRef> refs;
   UnionAccumulator existence;
   for (const WeightedBsi& input : inputs) {
@@ -337,38 +275,6 @@ Bsi WeightedSumBsiCsa(const std::vector<WeightedBsi>& inputs) {
     }
   }
   return WordCsaSum(std::move(refs), existence.Finish());
-}
-
-Bsi WeightedSumBsiPairwise(const std::vector<WeightedBsi>& inputs) {
-  Bsi acc;
-  bool seeded = false;
-  for (const WeightedBsi& input : inputs) {
-    CHECK(input.bsi != nullptr);
-    if (input.weight == 0 || input.bsi->IsEmpty()) continue;
-    // Shift-add w * X with the explicitly pairwise adder (MultiplyScalar and
-    // Add both dispatch on the kernel flag now; this baseline must not).
-    Bsi term;
-    uint64_t bits = input.weight;
-    while (bits != 0) {
-      const int b = CountTrailingZeros64(bits);
-      term = Bsi::AddPairwise(term, Bsi::ShiftLeft(*input.bsi, b));
-      bits &= bits - 1;
-    }
-    if (!seeded) {
-      acc = std::move(term);
-      seeded = true;
-    } else {
-      acc = Bsi::AddPairwise(acc, term);
-    }
-  }
-  return acc;
-}
-
-Bsi WeightedSumBsi(const std::vector<WeightedBsi>& inputs) {
-  if (inputs.empty()) return Bsi();
-  return GetMultiOpKernel() == MultiOpKernel::kMultiOperand
-             ? WeightedSumBsiCsa(inputs)
-             : WeightedSumBsiPairwise(inputs);
 }
 
 uint64_t QuantileOverInputs(const std::vector<MaskedBsi>& inputs, double q) {

@@ -12,40 +12,18 @@ namespace expbsi {
 // into a number. These are the merge functions of the pre-aggregate tree
 // (§4.3, Fig. 6) and of non-decomposable bucket-value states (§4.2).
 
-// Which implementation the list-form aggregates below use.
-//
-//   kMultiOperand -- word-level carry-save accumulation for sums and lazy
-//                    (scratch-buffer) union accumulation for distinctPos:
-//                    one pass per input container, no intermediate BSIs.
-//   kPairwise     -- the legacy left fold of pairwise ops; kept selectable
-//                    for the ablation benches and as a differential foil.
-//
-// The default is kMultiOperand; set EXPBSI_LEGACY_PAIRWISE=1 in the
-// environment (read once at first use) or call SetMultiOpKernel() to switch.
-// Both paths are exact -- they must produce bit-identical results, and the
-// differential oracle exercises them side by side.
-enum class MultiOpKernel { kMultiOperand, kPairwise };
-
-MultiOpKernel GetMultiOpKernel();
-void SetMultiOpKernel(MultiOpKernel kernel);
-
 // sumBSI(X, Y) := X + Y.
 inline Bsi SumBsi(const Bsi& x, const Bsi& y) { return Bsi::Add(x, y); }
 
-// Sums a whole list of BSIs. Dispatches on GetMultiOpKernel().
+// Sums a whole list of BSIs without materializing an intermediate BSI: per
+// 2^16 chunk, every input slice container is carry-save-added into scratch
+// word buffers (one 65536-bit buffer per output bit level, recycled by the
+// thread-local scratch arena) and the buffers convert to Roaring containers
+// exactly once, so N inputs cost one word pass each instead of N - 1
+// ripple-carry passes over a growing accumulator (the paper's pairwise fold,
+// kept outside the library in tests/support/pairwise_kernels.h as the
+// differential foil and the ablation baseline).
 Bsi SumBsi(const std::vector<const Bsi*>& inputs);
-
-// Explicit kernel entry points (benches and the differential oracle call
-// both directly; production code goes through the dispatcher above).
-//
-// The CSA form never materializes an intermediate BSI: per 2^16 chunk, every
-// input slice container is carry-save-added into scratch word buffers (one
-// 65536-bit buffer per output bit level, recycled by the thread-local
-// scratch arena) and the buffers convert to Roaring containers exactly once,
-// so N inputs cost one word pass each instead of N ripple-carry Add()
-// passes over the growing accumulator.
-Bsi SumBsiCsa(const std::vector<const Bsi*>& inputs);
-Bsi SumBsiPairwise(const std::vector<const Bsi*>& inputs);
 
 // maxBSI(X, Y) := X * (X > Y) + Y * (X <= Y), extended to positions present
 // in only one operand (the present value wins, since values are positive and
@@ -65,13 +43,9 @@ inline RoaringBitmap DistinctPos(const Bsi& x, const Bsi& y) {
   return RoaringBitmap::Or(x.existence(), y.existence());
 }
 
-// distinctPos over a list of BSIs. Dispatches on GetMultiOpKernel().
+// distinctPos over a list of BSIs, accumulated lazily in scratch word
+// buffers (each chunk is expanded once, not re-merged per input).
 RoaringBitmap DistinctPos(const std::vector<const Bsi*>& inputs);
-
-// Explicit kernel entry points: lazy scratch-buffer union accumulation vs
-// the legacy OrInPlace fold.
-RoaringBitmap DistinctPosLazy(const std::vector<const Bsi*>& inputs);
-RoaringBitmap DistinctPosPairwise(const std::vector<const Bsi*>& inputs);
 
 // Weighted sum of several BSI attributes: S[j] = sum_i w_i * X_i[j], the
 // scoring primitive of BSI preference queries (Rinfret 2008; Guzun et al.
@@ -81,14 +55,10 @@ struct WeightedBsi {
   const Bsi* bsi = nullptr;
   uint64_t weight = 1;
 };
-// Dispatches on GetMultiOpKernel().
+// The carry-save adder of SumBsi takes slice i of an input with weight w at
+// level i + b for every set bit b of w -- shift-add without ever
+// materializing MultiplyScalar() per input.
 Bsi WeightedSumBsi(const std::vector<WeightedBsi>& inputs);
-
-// Explicit kernel entry points. The CSA form feeds slice i of an input with
-// weight w into adder level i + b for every set bit b of w -- shift-add
-// without ever materializing MultiplyScalar() per input.
-Bsi WeightedSumBsiCsa(const std::vector<WeightedBsi>& inputs);
-Bsi WeightedSumBsiPairwise(const std::vector<WeightedBsi>& inputs);
 
 // A BSI restricted to a position mask, without materializing the filtered
 // index. Used to aggregate across segments (each segment has its own

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <mutex>
 #include <set>
@@ -49,6 +50,9 @@ struct RpcAttempt {
   bool completed = false;
   Result<RpcOutcome> outcome{RpcOutcome::kNodeDead};
   wire::WireQueryResponse resp;
+  // When the RPC started, as an offset from the wave's start, and how long
+  // it took until its outcome was known.
+  double start_seconds = 0.0;
   double latency_seconds = 0.0;
 };
 
@@ -61,12 +65,31 @@ struct NodeTask {
   std::vector<std::pair<uint32_t, int>> hedge_plan;
 };
 
-// Grafts a node's shipped span tree under the coordinator's current
-// (node_rpc) span. Remote spans arrive in creation order, so parents are
-// remapped before their children.
-void GraftRemoteSpans(const std::vector<wire::WireSpan>& spans) {
+// Records a completed attempt's node_rpc span under the current (wave)
+// span, starting and lasting as the link measured the RPC. Called post-join
+// in task order, so span ids stay deterministic. Returns the span's id, or
+// 0 when no trace is active.
+uint32_t ImportRpcSpan(const RpcAttempt& attempt) {
   obs::QueryTrace* trace = obs::CurrentTrace();
-  const uint32_t rpc_span = obs::CurrentSpanId();
+  const uint32_t wave_span = obs::CurrentSpanId();
+  if (trace == nullptr || wave_span == 0) return 0;
+  std::vector<std::pair<std::string, uint64_t>> attrs = {
+      {"node", static_cast<uint64_t>(attempt.node)},
+      {"segments", attempt.segments.size()}};
+  if (attempt.is_hedge) attrs.emplace_back("hedge", 1);
+  return trace->ImportSpan(
+      wave_span, "node_rpc",
+      static_cast<uint64_t>(std::llround(attempt.start_seconds * 1e9)),
+      static_cast<uint64_t>(std::llround(attempt.latency_seconds * 1e9)),
+      attrs);
+}
+
+// Grafts a node's shipped span tree under its node_rpc span `rpc_span`.
+// Remote spans arrive in creation order, so parents are remapped before
+// their children.
+void GraftRemoteSpans(uint32_t rpc_span,
+                      const std::vector<wire::WireSpan>& spans) {
+  obs::QueryTrace* trace = obs::CurrentTrace();
   if (trace == nullptr || rpc_span == 0) return;
   std::unordered_map<uint32_t, uint32_t> local_id;
   std::unordered_map<uint32_t, uint64_t> remote_start;
@@ -89,13 +112,15 @@ void GraftRemoteSpans(const std::vector<wire::WireSpan>& spans) {
 
 // What every task of one wave asks: the query (its `segments` left empty;
 // each attempt carries its own), the query deadline, and the coordinator
-// state a hedging link consults.
+// state a hedging link consults. `clock` starts with the wave; attempts
+// record their start_seconds on it.
 struct WaveQuery {
   const wire::WireQueryRequest& request;
   Deadline deadline;
   uint64_t flight_trace_id;
   const NodeHealth& health;
   std::atomic<uint64_t>& next_request_id;
+  const Stopwatch& clock;
 };
 
 }  // namespace
@@ -230,9 +255,13 @@ void TcpLink::RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) {
     // other node) up front.
     task.attempts.reserve(options_.node_ports.size());
     RpcAttempt& primary = task.attempts[0];
+    // Hedges are timed from the primary's start too: their latency is the
+    // wave's wait for the answer, which is what node health records.
+    const double start_seconds = wave.clock.ElapsedSeconds();
     Stopwatch rpc_wall;
     auto finish = [&](RpcAttempt& a, Result<RpcOutcome> outcome) {
       a.outcome = std::move(outcome);
+      a.start_seconds = start_seconds;
       a.latency_seconds = rpc_wall.ElapsedSeconds();
       a.completed = true;
     };
@@ -414,6 +443,7 @@ void InProcessLink::RunWave(const WaveQuery& wave,
   FaultInjector* const fi = FaultInjector::Get();
   for (NodeTask& task : *tasks) {
     RpcAttempt& attempt = task.attempts[0];
+    attempt.start_seconds = wave.clock.ElapsedSeconds();
     Stopwatch rpc_wall;
     wire::WireQueryRequest req = wave.request;
     req.segments = attempt.segments;
@@ -596,6 +626,7 @@ Result<QueryStats> Coordinator::QueryBsiInternal(
     if (targets.empty()) break;
 
     obs::ScopedSpan wave_span("wave");
+    const Stopwatch wave_clock;
     wave_span.AddAttr("wave", static_cast<uint64_t>(wave_index++));
     waves_counter.Add();
 
@@ -623,7 +654,7 @@ Result<QueryStats> Coordinator::QueryBsiInternal(
       task.attempts.push_back(std::move(primary));
     }
     link_->RunWave(WaveQuery{request, deadline, flight_trace_id, health_,
-                             next_request_id_},
+                             next_request_id_, wave_clock},
                    &tasks);
 
     // Post-join accounting, in task order on this thread only: trace span
@@ -633,10 +664,11 @@ Result<QueryStats> Coordinator::QueryBsiInternal(
       for (RpcAttempt& attempt : task.attempts) {
         if (!attempt.completed) continue;  // abandoned hedge straggler
         involved.insert(attempt.node);
-        obs::ScopedSpan rpc_span("node_rpc");
-        rpc_span.AddAttr("node", static_cast<uint64_t>(attempt.node));
-        rpc_span.AddAttr("segments", attempt.segments.size());
-        if (attempt.is_hedge) rpc_span.AddAttr("hedge", 1);
+        const uint32_t rpc_span = ImportRpcSpan(attempt);
+        const auto rpc_attr = [rpc_span](const char* key, uint64_t value) {
+          if (rpc_span == 0) return;
+          obs::CurrentTrace()->AddAttr(rpc_span, key, value);
+        };
         if (!attempt.outcome.ok()) return attempt.outcome.status();
         switch (attempt.outcome.value()) {
           case RpcOutcome::kOk: {
@@ -648,9 +680,9 @@ Result<QueryStats> Coordinator::QueryBsiInternal(
             stats.total_cpu_seconds += resp.cpu_seconds;
             stats.bytes_from_cold += resp.bytes_from_cold;
             stats.hot_hits += resp.hot_hits;
-            rpc_span.AddAttr("cold_bytes", resp.bytes_from_cold);
-            rpc_span.AddAttr("hot_hits", resp.hot_hits);
-            GraftRemoteSpans(resp.spans);
+            rpc_attr("cold_bytes", resp.bytes_from_cold);
+            rpc_attr("hot_hits", resp.hot_hits);
+            GraftRemoteSpans(rpc_span, resp.spans);
             for (const wire::WireSegmentResult& seg : resp.segments) {
               if (seg.lost != 0) {
                 // Node-side degradation: fail the segment over to its next
@@ -676,7 +708,7 @@ Result<QueryStats> Coordinator::QueryBsiInternal(
           }
           case RpcOutcome::kNodeDead: {
             health_.RecordFailure(attempt.node);
-            rpc_span.AddAttr("node_dead", 1);
+            rpc_attr("node_dead", 1);
             if (alive[attempt.node] && !counted_dead[attempt.node]) {
               counted_dead[attempt.node] = true;
               ++stats.degraded.nodes_lost;
@@ -698,7 +730,7 @@ Result<QueryStats> Coordinator::QueryBsiInternal(
           case RpcOutcome::kBackpressure: {
             // Alive but full: excluded for the rest of this query, its
             // segments fail over. Not a crash and not a health failure.
-            rpc_span.AddAttr("backpressure", 1);
+            rpc_attr("backpressure", 1);
             alive[attempt.node] = false;
             for (uint32_t seg : attempt.segments) {
               if (!answered[seg]) {

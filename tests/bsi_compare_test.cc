@@ -5,9 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "bsi/bsi.h"
-#include "bsi/bsi_aggregate.h"
+#include "bsi/bsi_compare.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "tests/support/pairwise_kernels.h"
 #include "tests/test_util.h"
 
 namespace expbsi {
@@ -226,11 +227,10 @@ TEST(BsiCompareBasic, MixedDenseSparseContainers) {
             expected([](uint64_t a, uint64_t b) { return b < a; }));
 }
 
-// The word kernels and the legacy pairwise path are interchangeable: force
-// each via the MultiOpKernel flag and require identical bitmaps on a
-// workload with planted equalities and cross-slice differences.
+// The word kernels behind Bsi:: and the pairwise folds are
+// interchangeable: identical bitmaps on a workload with planted equalities
+// and cross-slice differences.
 TEST(BsiCompareBasic, WordAndPairwiseKernelsAgree) {
-  const MultiOpKernel saved = GetMultiOpKernel();
   Rng rng(123);
   ValueMap mx = RandomValueMap(rng, 6000, 50000, 64);
   ValueMap my = RandomValueMap(rng, 6000, 50000, 64);
@@ -242,19 +242,13 @@ TEST(BsiCompareBasic, WordAndPairwiseKernelsAgree) {
   Bsi x = Bsi::FromPairs(ToPairVector(mx));
   Bsi y = Bsi::FromPairs(ToPairVector(my));
 
-  SetMultiOpKernel(MultiOpKernel::kMultiOperand);
-  const RoaringBitmap lt_w = Bsi::Lt(x, y);
-  const RoaringBitmap eq_w = Bsi::Eq(x, y);
-  const RoaringBitmap ne_w = Bsi::Ne(x, y);
-  const RoaringBitmap le_w = Bsi::Le(x, y);
-  const RoaringBitmap rb_w = x.RangeBetween(10, 40);
-  SetMultiOpKernel(MultiOpKernel::kPairwise);
-  EXPECT_TRUE(Bsi::Lt(x, y).Equals(lt_w));
-  EXPECT_TRUE(Bsi::Eq(x, y).Equals(eq_w));
-  EXPECT_TRUE(Bsi::Ne(x, y).Equals(ne_w));
-  EXPECT_TRUE(Bsi::Le(x, y).Equals(le_w));
-  EXPECT_TRUE(x.RangeBetween(10, 40).Equals(rb_w));
-  SetMultiOpKernel(saved);
+  using bsi_compare::CmpOp;
+  EXPECT_TRUE(Bsi::Lt(x, y).Equals(pairwise::Compare(x, y, CmpOp::kLt)));
+  EXPECT_TRUE(Bsi::Eq(x, y).Equals(pairwise::Compare(x, y, CmpOp::kEq)));
+  EXPECT_TRUE(Bsi::Ne(x, y).Equals(pairwise::Compare(x, y, CmpOp::kNe)));
+  EXPECT_TRUE(Bsi::Le(x, y).Equals(pairwise::Compare(x, y, CmpOp::kLe)));
+  EXPECT_TRUE(
+      x.RangeBetween(10, 40).Equals(pairwise::RangeBetween(x, 10, 40)));
 }
 
 TEST(BsiRangeEdge, PaperFilterExample) {

@@ -1,3 +1,5 @@
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include "engine/experiment_data.h"
 #include "engine/scorecard.h"
 #include "expdata/generator.h"
+#include "obs/trace.h"
 #include "reference/ref_data.h"
 #include "reference/ref_engine.h"
 
@@ -388,6 +391,36 @@ TEST_F(ClusterTest, LatencyIsMeasuredWallTimeOverSerialNodes) {
   const double latency_ns = stats.value().latency_seconds * 1e9;
   EXPECT_GE(latency_ns, static_cast<double>(rpc_ns));
   EXPECT_GE(latency_ns, static_cast<double>(node_query_ns));
+}
+
+// node_rpc spans the RPC as the link measured it, so the node's execution
+// tree grafted under it fits inside it: no child outlasts or outruns its
+// node_rpc parent.
+TEST_F(ClusterTest, NodeRpcSpanCoversItsGraftedChildren) {
+  AdhocClusterConfig config;
+  config.num_nodes = 4;
+  AdhocCluster cluster(dataset_, bsi_, config);
+  const auto stats = cluster.QueryBsi({801, 802}, {901, 902}, 50, 56);
+  ASSERT_TRUE(stats.ok());
+  const auto spans = stats.value().trace->spans();
+  std::map<uint32_t, const obs::QueryTrace::Span*> rpcs;
+  for (const auto& span : spans) {
+    if (span.name == "node_rpc") rpcs[span.id] = &span;
+  }
+  EXPECT_EQ(rpcs.size(), static_cast<size_t>(config.num_nodes));
+  int children = 0;
+  for (const auto& span : spans) {
+    const auto it = rpcs.find(span.parent_id);
+    if (it == rpcs.end()) continue;
+    const obs::QueryTrace::Span& rpc = *it->second;
+    ++children;
+    EXPECT_GE(rpc.duration_ns, span.duration_ns) << span.name;
+    EXPECT_GE(span.start_ns, rpc.start_ns) << span.name;
+    EXPECT_LE(span.start_ns + span.duration_ns,
+              rpc.start_ns + rpc.duration_ns)
+        << span.name;
+  }
+  EXPECT_GE(children, config.num_nodes);
 }
 
 }  // namespace

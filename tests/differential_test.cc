@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -32,6 +33,7 @@
 
 #include "bsi/bsi.h"
 #include "bsi/bsi_aggregate.h"
+#include "bsi/bsi_compare.h"
 #include "common/cpu_features.h"
 #include "engine/deepdive.h"
 #include "engine/experiment_data.h"
@@ -45,10 +47,13 @@
 #include "reference/ref_query.h"
 #include "reference/ref_stats.h"
 #include "tests/property_gen.h"
+#include "tests/support/pairwise_kernels.h"
 
 namespace expbsi {
 namespace {
 
+using bsi_compare::CmpOp;
+using bsi_compare::RangeOp;
 using propgen::ColumnShape;
 using propgen::FuzzDataset;
 
@@ -331,7 +336,7 @@ void RunColumnOpsIteration(uint64_t seed) {
                        ctx + " DistinctPos");
 
   // Multi-operand kernels: the CSA sum, the lazy union accumulator, and the
-  // legacy pairwise folds must all agree with a scalar fold over N inputs.
+  // pairwise folds must all agree with a scalar fold over N inputs.
   {
     const int n = 2 + static_cast<int>(rng.NextBounded(7));  // 2..8 operands
     std::vector<Bsi> cols;
@@ -351,12 +356,10 @@ void RunColumnOpsIteration(uint64_t seed) {
 
     RefColumn ref_sum;
     for (const RefColumn& r : ref_cols) ref_sum = RefColumn::Add(ref_sum, r);
-    ExpectColumnsEqual(SumBsiCsa(inputs), ref_sum,
-                       ctx + " SumBsiCsa n=" + std::to_string(n));
-    ExpectColumnsEqual(SumBsiPairwise(inputs), ref_sum,
-                       ctx + " SumBsiPairwise n=" + std::to_string(n));
     ExpectColumnsEqual(SumBsi(inputs), ref_sum,
-                       ctx + " SumBsi dispatch n=" + std::to_string(n));
+                       ctx + " SumBsi n=" + std::to_string(n));
+    ExpectColumnsEqual(pairwise::SumBsi(inputs), ref_sum,
+                       ctx + " pairwise::SumBsi n=" + std::to_string(n));
 
     // Weighted sum: weights up to 2^8 keep the total far below 64 bits.
     std::vector<WeightedBsi> weighted;
@@ -367,10 +370,10 @@ void RunColumnOpsIteration(uint64_t seed) {
       ref_weighted = RefColumn::Add(
           ref_weighted, RefColumn::MultiplyScalar(ref_cols[i], w));
     }
-    ExpectColumnsEqual(WeightedSumBsiCsa(weighted), ref_weighted,
-                       ctx + " WeightedSumBsiCsa");
-    ExpectColumnsEqual(WeightedSumBsiPairwise(weighted), ref_weighted,
-                       ctx + " WeightedSumBsiPairwise");
+    ExpectColumnsEqual(WeightedSumBsi(weighted), ref_weighted,
+                       ctx + " WeightedSumBsi");
+    ExpectColumnsEqual(pairwise::WeightedSumBsi(weighted), ref_weighted,
+                       ctx + " pairwise::WeightedSumBsi");
 
     RefPositions ref_union;
     for (const RefColumn& r : ref_cols) {
@@ -380,10 +383,10 @@ void RunColumnOpsIteration(uint64_t seed) {
                      std::back_inserter(merged));
       ref_union = std::move(merged);
     }
-    ExpectPositionsEqual(DistinctPosLazy(inputs), ref_union,
-                         ctx + " DistinctPosLazy");
-    ExpectPositionsEqual(DistinctPosPairwise(inputs), ref_union,
-                         ctx + " DistinctPosPairwise");
+    ExpectPositionsEqual(DistinctPos(inputs), ref_union,
+                         ctx + " DistinctPos n=" + std::to_string(n));
+    ExpectPositionsEqual(pairwise::DistinctPos(inputs), ref_union,
+                         ctx + " pairwise::DistinctPos");
   }
 
   // Galloping intersect: skewed array-array workloads where one side is far
@@ -599,11 +602,63 @@ TEST(DifferentialTest, SumUnderMaskAcrossMaskAndSliceTypes) {
 // SIMD dispatch tier) combination the host supports.
 // ---------------------------------------------------------------------------
 
+// The compare kernels one leg of the sweep runs: the library's word path
+// through the public Bsi API, or the pairwise folds.
+struct CompareKernels {
+  const char* name;
+  RoaringBitmap (*compare)(const Bsi&, const Bsi&, CmpOp);
+  RoaringBitmap (*range)(const Bsi&, RangeOp, uint64_t);
+  RoaringBitmap (*between)(const Bsi&, uint64_t, uint64_t);
+};
+
+RoaringBitmap WordCompare(const Bsi& x, const Bsi& y, CmpOp op) {
+  switch (op) {
+    case CmpOp::kLt:
+      return Bsi::Lt(x, y);
+    case CmpOp::kLe:
+      return Bsi::Le(x, y);
+    case CmpOp::kEq:
+      return Bsi::Eq(x, y);
+    case CmpOp::kNe:
+      return Bsi::Ne(x, y);
+  }
+  return RoaringBitmap();
+}
+
+RoaringBitmap WordRange(const Bsi& x, RangeOp op, uint64_t k) {
+  switch (op) {
+    case RangeOp::kEq:
+      return x.RangeEq(k);
+    case RangeOp::kNe:
+      return x.RangeNe(k);
+    case RangeOp::kLt:
+      return x.RangeLt(k);
+    case RangeOp::kLe:
+      return x.RangeLe(k);
+    case RangeOp::kGt:
+      return x.RangeGt(k);
+    case RangeOp::kGe:
+      return x.RangeGe(k);
+  }
+  return RoaringBitmap();
+}
+
+RoaringBitmap WordBetween(const Bsi& x, uint64_t lo, uint64_t hi) {
+  return x.RangeBetween(lo, hi);
+}
+
+// Leg 0 is the word path, leg 1 the pairwise folds; the index seeds the leg.
+constexpr CompareKernels kCompareLegs[] = {
+    {"word", WordCompare, WordRange, WordBetween},
+    {"pairwise", pairwise::Compare, pairwise::Range, pairwise::RangeBetween},
+};
+
 // One correlated-pair iteration: all six comparisons, boundary-constant
 // range scans, and RangeBetween over boundary bound pairs. Planted equal /
 // off-by-one / high-slice relationships make the eq/lt accumulator updates
 // (Algorithms 1-3) load-bearing instead of vacuously empty.
-void RunCompareIteration(uint64_t seed, const std::string& label) {
+void RunCompareIteration(uint64_t seed, const CompareKernels& k,
+                         const std::string& label) {
   Rng rng(seed);
   std::vector<std::pair<uint32_t, uint64_t>> pairs_x, pairs_y;
   propgen::GenCorrelatedPairs(rng, kUniverse, uint64_t{1} << 20, &pairs_x,
@@ -612,27 +667,40 @@ void RunCompareIteration(uint64_t seed, const std::string& label) {
   const auto [y, ry] = BuildBoth(pairs_y);
   const std::string ctx = Ctx(seed, "compare[" + label + "]");
 
-  ExpectPositionsEqual(Bsi::Lt(x, y), RefColumn::Lt(rx, ry), ctx + " Lt");
-  ExpectPositionsEqual(Bsi::Eq(x, y), RefColumn::Eq(rx, ry), ctx + " Eq");
-  ExpectPositionsEqual(Bsi::Ne(x, y), RefColumn::Ne(rx, ry), ctx + " Ne");
-  ExpectPositionsEqual(Bsi::Le(x, y), RefColumn::Le(rx, ry), ctx + " Le");
-  ExpectPositionsEqual(Bsi::Gt(x, y), RefColumn::Gt(rx, ry), ctx + " Gt");
-  ExpectPositionsEqual(Bsi::Ge(x, y), RefColumn::Ge(rx, ry), ctx + " Ge");
+  ExpectPositionsEqual(k.compare(x, y, CmpOp::kLt), RefColumn::Lt(rx, ry),
+                       ctx + " Lt");
+  ExpectPositionsEqual(k.compare(x, y, CmpOp::kEq), RefColumn::Eq(rx, ry),
+                       ctx + " Eq");
+  ExpectPositionsEqual(k.compare(x, y, CmpOp::kNe), RefColumn::Ne(rx, ry),
+                       ctx + " Ne");
+  ExpectPositionsEqual(k.compare(x, y, CmpOp::kLe), RefColumn::Le(rx, ry),
+                       ctx + " Le");
+  // Gt / Ge are Lt / Le with the operands swapped (Bsi::Gt, Bsi::Ge).
+  ExpectPositionsEqual(k.compare(y, x, CmpOp::kLt), RefColumn::Gt(rx, ry),
+                       ctx + " Gt");
+  ExpectPositionsEqual(k.compare(y, x, CmpOp::kLe), RefColumn::Ge(rx, ry),
+                       ctx + " Ge");
 
   const std::vector<uint64_t> ks = propgen::GenBoundaryConstants(rng, pairs_x);
-  for (const uint64_t k : ks) {
-    const std::string kctx = ctx + " k=" + std::to_string(k);
-    ExpectPositionsEqual(x.RangeEq(k), rx.RangeEq(k), kctx + " RangeEq");
-    ExpectPositionsEqual(x.RangeNe(k), rx.RangeNe(k), kctx + " RangeNe");
-    ExpectPositionsEqual(x.RangeLt(k), rx.RangeLt(k), kctx + " RangeLt");
-    ExpectPositionsEqual(x.RangeLe(k), rx.RangeLe(k), kctx + " RangeLe");
-    ExpectPositionsEqual(x.RangeGt(k), rx.RangeGt(k), kctx + " RangeGt");
-    ExpectPositionsEqual(x.RangeGe(k), rx.RangeGe(k), kctx + " RangeGe");
+  for (const uint64_t c : ks) {
+    const std::string kctx = ctx + " k=" + std::to_string(c);
+    ExpectPositionsEqual(k.range(x, RangeOp::kEq, c), rx.RangeEq(c),
+                         kctx + " RangeEq");
+    ExpectPositionsEqual(k.range(x, RangeOp::kNe, c), rx.RangeNe(c),
+                         kctx + " RangeNe");
+    ExpectPositionsEqual(k.range(x, RangeOp::kLt, c), rx.RangeLt(c),
+                         kctx + " RangeLt");
+    ExpectPositionsEqual(k.range(x, RangeOp::kLe, c), rx.RangeLe(c),
+                         kctx + " RangeLe");
+    ExpectPositionsEqual(k.range(x, RangeOp::kGt, c), rx.RangeGt(c),
+                         kctx + " RangeGt");
+    ExpectPositionsEqual(k.range(x, RangeOp::kGe, c), rx.RangeGe(c),
+                         kctx + " RangeGe");
   }
   for (size_t i = 0; i + 1 < ks.size(); i += 2) {
     const uint64_t lo = std::min(ks[i], ks[i + 1]);
     const uint64_t hi = std::max(ks[i], ks[i + 1]);
-    ExpectPositionsEqual(x.RangeBetween(lo, hi), rx.RangeBetween(lo, hi),
+    ExpectPositionsEqual(k.between(x, lo, hi), rx.RangeBetween(lo, hi),
                          ctx + " RangeBetween [" + std::to_string(lo) + "," +
                              std::to_string(hi) + "]");
   }
@@ -644,7 +712,11 @@ void RunCompareIteration(uint64_t seed, const std::string& label) {
 // path), a range straddling the chunk 3/4 boundary and constant-offset
 // ranges that run-optimize into run slices. Windows start before, at and
 // after min_expose_date, include lo == hi, and reach past the top offset.
-void RunExposeDaysIteration(uint64_t seed, const std::string& label) {
+// Each day is also checked against the leg's own kLe range search on the
+// offset BSI, so the pairwise leg pins the one-pass masks to Algorithm 1's
+// scan as well.
+void RunExposeDaysIteration(uint64_t seed, const CompareKernels& k,
+                            const std::string& label) {
   Rng rng(seed);
   const std::string ctx = Ctx(seed, "expose days[" + label + "]");
   const uint64_t num_days = 1 + rng.NextBounded(12);
@@ -687,6 +759,13 @@ void RunExposeDaysIteration(uint64_t seed, const std::string& label) {
         EXPECT_EQ(each[d - lo].ToVector(),
                   expose.ExposedOnOrBefore(d).ToVector())
             << ctx << " window [" << lo << "," << hi << "] day " << d;
+        const RoaringBitmap want =
+            d < min ? RoaringBitmap()
+                    : k.range(expose.offset, RangeOp::kLe,
+                              static_cast<uint64_t>(d - min) + 1);
+        EXPECT_EQ(each[d - lo].ToVector(), want.ToVector())
+            << ctx << " window [" << lo << "," << hi << "] day " << d
+            << " vs " << k.name << " RangeLe";
       }
     }
   }
@@ -694,37 +773,32 @@ void RunExposeDaysIteration(uint64_t seed, const std::string& label) {
 
 // Forces each dispatch tier the host supports (portable always runs; AVX2 /
 // AVX-512 only where detected -- CI hosts without them skip those legs) and
-// both compare kernels, so the word path, the legacy pairwise path, and
+// runs both compare legs on it, so the word path, the pairwise folds, and
 // every SIMD variant all face the same oracle.
 TEST(DifferentialTest, CompareKernelsAcrossKernelAndSimdTiers) {
-  const MultiOpKernel saved_kernel = GetMultiOpKernel();
   const SimdTier saved_tier = ActiveSimdTier();
   const int max_tier = static_cast<int>(DetectedSimdTier());
   for (int t = 0; t <= max_tier; ++t) {
     const SimdTier tier = static_cast<SimdTier>(t);
     SetSimdTierForTesting(tier);
-    for (const MultiOpKernel kernel :
-         {MultiOpKernel::kMultiOperand, MultiOpKernel::kPairwise}) {
-      SetMultiOpKernel(kernel);
+    for (uint64_t leg = 0; leg < std::size(kCompareLegs); ++leg) {
+      const CompareKernels& kernels = kCompareLegs[leg];
       const std::string label =
-          std::string(SimdTierName(tier)) + "/" +
-          (kernel == MultiOpKernel::kMultiOperand ? "word" : "pairwise");
+          std::string(SimdTierName(tier)) + "/" + kernels.name;
       // Distinct bases per combination: each leg explores its own seeds on
       // top of the shared corpus replay.
-      const uint64_t base = 0xC04Bull ^ (static_cast<uint64_t>(t) << 8) ^
-                            static_cast<uint64_t>(kernel);
+      const uint64_t base =
+          0xC04Bull ^ (static_cast<uint64_t>(t) << 8) ^ leg;
       for (const uint64_t seed : SeedSchedule(base, 12)) {
-        RunCompareIteration(seed, label);
-        RunExposeDaysIteration(seed, label);
+        RunCompareIteration(seed, kernels, label);
+        RunExposeDaysIteration(seed, kernels, label);
         if (HasFatalFailure()) {
-          SetMultiOpKernel(saved_kernel);
           SetSimdTierForTesting(saved_tier);
           return;
         }
       }
     }
   }
-  SetMultiOpKernel(saved_kernel);
   SetSimdTierForTesting(saved_tier);
 }
 

@@ -566,12 +566,19 @@ TEST_F(NetServingTest, RemoteSpansAreGraftedIntoTheQueryTrace) {
       coordinator.QueryBsi({801}, {901}, 10, 14);
   ASSERT_TRUE(stats.ok());
   ASSERT_NE(stats.value().trace, nullptr);
+  const std::vector<obs::QueryTrace::Span> spans =
+      stats.value().trace->spans();
   int node_rpc = 0, node_query = 0, segment_execute = 0;
-  for (const obs::QueryTrace::Span& span : stats.value().trace->spans()) {
+  for (const obs::QueryTrace::Span& span : spans) {
     EXPECT_FALSE(span.open);
     if (span.name == "node_rpc") ++node_rpc;
-    if (span.name == "node_query") ++node_query;
     if (span.name == "segment_execute") ++segment_execute;
+    if (span.name != "node_query") continue;
+    ++node_query;
+    // node_rpc times the TCP round trip, which contains the node's work.
+    const obs::QueryTrace::Span& rpc = spans[span.parent_id - 1];
+    EXPECT_EQ(rpc.name, "node_rpc");
+    EXPECT_GE(rpc.duration_ns, span.duration_ns);
   }
   EXPECT_EQ(node_rpc, 2);
   EXPECT_EQ(node_query, 2);  // one remote root grafted per node
