@@ -28,6 +28,12 @@ Rules (RULES below), each with the files allowed to hold the concept:
     tests/support/pairwise_kernels.* for the tests and the ablation benches.
     No file under src/ names MultiOpKernel (or its Get/Set accessors),
     EXPBSI_LEGACY_PAIRWISE, or an identifier ending in Pairwise.
+  * one durable write -- src/common/file_io.cc is the only file that
+    defines FlushAndSync or SyncParentDir; the WAL writer has one write path
+    (DESIGN.md §8.4), so no file under src/ names group_commit or
+    AppendGrouped; and the torn-write fault rule (EvaluateWriteFault) is the
+    only holder of its torn-prefix constant 0x517cc1b727220a95, which
+    appears in exactly one src/ file, src/common/fault_injector.cc.
 
 Comments are stripped before matching.
 
@@ -40,8 +46,11 @@ import pathlib
 import re
 import sys
 
+# `required`, when set, is a regex the anchor file itself must match: with
+# `allowed` naming only the anchor, the concept then lives in exactly one
+# file.
 Rule = collections.namedtuple(
-    "Rule", "anchor allowed patterns fix ok")
+    "Rule", "anchor allowed patterns fix ok required", defaults=(None,))
 
 P = pathlib.PurePosixPath
 
@@ -65,6 +74,14 @@ MERGE_CALL_RE = re.compile(r"\b(?P<name>StoreSegmentPartial)\s*\(")
 EXECUTE_CALL_RE = re.compile(r"\b(?P<name>ExecuteSegmentQuery)\s*\(")
 KERNEL_SWITCH_RE = re.compile(
     r"\b(?P<name>\w*MultiOpKernel|EXPBSI_LEGACY_PAIRWISE|\w*Pairwise)\b")
+
+SYNC_HELPER_DEF_RE = re.compile(
+    r"^[ \t]*(?:static[ \t]+)?[\w:<>]+[ \t*&]+(?:\w+::)*"
+    r"(?P<name>FlushAndSync|SyncParentDir)\s*\([^;{}()]*\)\s*\{",
+    re.M,
+)
+WAL_SECOND_PATH_RE = re.compile(r"\b(?P<name>group_commit|AppendGrouped)\b")
+TORN_PREFIX_RE = re.compile(r"0x517cc1b727220a95", re.I)
 
 GROUP_BY_FILES = {P("bsi/bsi_group_by.h"), P("bsi/bsi_group_by.cc")}
 FOLD_FILES = GROUP_BY_FILES | {P("engine/experiment_data.cc")}
@@ -138,6 +155,40 @@ RULES = (
         ok="kernel path lint: nothing under src/ names a kernel switch or a "
            "pairwise kernel",
     ),
+    Rule(
+        anchor=P("common/file_io.cc"),
+        allowed=lambda rel: rel == P("common/file_io.cc"),
+        patterns=(
+            (SYNC_HELPER_DEF_RE, "name",
+             lambda m: f"defines {m.group('name')}"),
+        ),
+        fix="call fileio::FlushAndSync / fileio::SyncParentDir "
+            "(common/file_io.h) instead",
+        ok="durable write lint: src/common/file_io.cc is the only definer of "
+           "the fsync helpers",
+    ),
+    Rule(
+        anchor=P("wal/wal.cc"),
+        allowed=lambda rel: False,
+        patterns=(
+            (WAL_SECOND_PATH_RE, "name",
+             lambda m: f"names {m.group('name')}"),
+        ),
+        fix="append through WalWriter::Append, the one WAL write path",
+        ok="durable write lint: the WAL writer has one write path",
+    ),
+    Rule(
+        anchor=P("common/fault_injector.cc"),
+        allowed=lambda rel: rel == P("common/fault_injector.cc"),
+        patterns=(
+            (TORN_PREFIX_RE, 0, lambda m: "holds the torn-prefix constant"),
+        ),
+        required=TORN_PREFIX_RE,
+        fix="decide torn writes through EvaluateWriteFault "
+            "(common/fault_injector.h) instead",
+        ok="durable write lint: EvaluateWriteFault in "
+           "src/common/fault_injector.cc is the only torn-write fault rule",
+    ),
 )
 
 
@@ -191,6 +242,11 @@ def main():
             failed = True
             continue
         problems = check(rule, files)
+        if rule.required is not None:
+            anchor_text = dict(files)[rule.anchor]
+            if not rule.required.search(anchor_text):
+                problems.append(f"src/{rule.anchor}: does not hold "
+                                f"{rule.required.pattern}")
         for problem in problems:
             print(f"error: {problem}; {rule.fix}", file=sys.stderr)
         if problems:

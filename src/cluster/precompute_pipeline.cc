@@ -178,22 +178,8 @@ PrecomputeStats PrecomputePipeline::RunNormal(
       pairs, config_, &cache_,
       [this, date_lo, date_hi](const StrategyMetricPair& pair,
                                uint64_t* bytes) {
-        // Byte accounting through the index (cheap lookups; rows at their
-        // §6.1/§6.2 row widths).
-        uint64_t b = 0;
-        for (int seg = 0; seg < dataset_->config.num_segments; ++seg) {
-          const std::vector<ExposeRow>* expose =
-              normal_index_->ExposeRows(pair.first, seg);
-          if (expose != nullptr) b += expose->size() * 16;
-          const std::vector<MetricRow>* rows =
-              normal_index_->MetricRows(pair.second, seg);
-          if (rows != nullptr) {
-            for (const MetricRow& row : *rows) {
-              if (row.date >= date_lo && row.date <= date_hi) b += 18;
-            }
-          }
-        }
-        *bytes = b;
+        *bytes = NormalPairReadBytes(*dataset_, *normal_index_, pair.first,
+                                     pair.second, date_lo, date_hi);
         return ComputeStrategyMetricNormalIndexed(*dataset_, *normal_index_,
                                                   pair.first, pair.second,
                                                   date_lo, date_hi);
@@ -220,18 +206,20 @@ uint64_t BsiPairReadBytes(const ExperimentBsiData& data, uint64_t strategy_id,
   return bytes;
 }
 
-uint64_t NormalPairReadBytes(const Dataset& dataset, uint64_t strategy_id,
-                             uint64_t metric_id, Date date_lo, Date date_hi) {
+uint64_t NormalPairReadBytes(const Dataset& dataset,
+                             const NormalDataIndex& index,
+                             uint64_t strategy_id, uint64_t metric_id,
+                             Date date_lo, Date date_hi) {
   constexpr uint64_t kExposeRowBytes = 16;  // §6.2 normal expose schema
   constexpr uint64_t kMetricRowBytes = 18;  // §6.1 normal metric schema
   uint64_t bytes = 0;
-  for (const SegmentData& seg : dataset.segments) {
-    for (const ExposeRow& row : seg.expose) {
-      if (row.strategy_id == strategy_id) bytes += kExposeRowBytes;
-    }
-    for (const MetricRow& row : seg.metrics) {
-      if (row.metric_id == metric_id && row.date >= date_lo &&
-          row.date <= date_hi) {
+  for (int seg = 0; seg < dataset.config.num_segments; ++seg) {
+    const std::vector<ExposeRow>* expose = index.ExposeRows(strategy_id, seg);
+    if (expose != nullptr) bytes += expose->size() * kExposeRowBytes;
+    const std::vector<MetricRow>* rows = index.MetricRows(metric_id, seg);
+    if (rows == nullptr) continue;
+    for (const MetricRow& row : *rows) {
+      if (row.date >= date_lo && row.date <= date_hi) {
         bytes += kMetricRowBytes;
       }
     }

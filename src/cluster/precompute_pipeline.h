@@ -107,9 +107,12 @@ uint64_t BsiPairReadBytes(const ExperimentBsiData& data, uint64_t strategy_id,
                           uint64_t metric_id, Date date_lo, Date date_hi);
 
 // Warehouse bytes the normal-format pair read: its expose rows plus the
-// metric rows of the date range at their row widths.
-uint64_t NormalPairReadBytes(const Dataset& dataset, uint64_t strategy_id,
-                             uint64_t metric_id, Date date_lo, Date date_hi);
+// metric rows of the date range at their §6.1/§6.2 row widths, found through
+// the partition index (O(rows of the pair), the form RunNormal times).
+uint64_t NormalPairReadBytes(const Dataset& dataset,
+                             const NormalDataIndex& index,
+                             uint64_t strategy_id, uint64_t metric_id,
+                             Date date_lo, Date date_hi);
 
 }  // namespace expbsi
 

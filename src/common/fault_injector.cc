@@ -236,4 +236,30 @@ FaultInjector::Stats FaultInjector::stats() const {
   return stats_;
 }
 
+WriteFault EvaluateWriteFault(const char* site, uint64_t corrupt_token,
+                              std::string_view* bytes,
+                              std::string* corrupted) {
+  WriteFault fault;
+  fault.write_bytes = bytes->size();
+  FaultInjector* const fi = FaultInjector::Get();
+  if (fi == nullptr || site == nullptr) return fault;
+  const FaultDecision d = fi->Evaluate(site);
+  if (d.fail) {
+    fault.fail = true;
+    return fault;
+  }
+  if (d.corrupt) {
+    corrupted->assign(bytes->data(), bytes->size());
+    fi->CorruptBlob(Mix64(fi->seed() ^ corrupt_token), corrupted);
+    *bytes = *corrupted;
+  }
+  if (d.crash) {
+    fault.crash = true;
+    fault.write_bytes = static_cast<size_t>(
+        Mix64(fi->seed() ^ (bytes->size() + 0x517cc1b727220a95ull)) %
+        (bytes->size() + 1));
+  }
+  return fault;
+}
+
 }  // namespace expbsi

@@ -2,10 +2,12 @@
 #define EXPBSI_COMMON_FAULT_INJECTOR_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace expbsi {
 
@@ -91,10 +93,11 @@ inline constexpr char kSnapshotRead[] = "snapshot.read";
 // record bytes but "succeeds" -- the corruption is only caught by the CRCs
 // at replay. kWalFsync is evaluated once per durability barrier AFTER the
 // bytes are flushed: kFail/kCrash kill the writer but the record survives
-// (replay recovers through it). kWalRoll is evaluated once per segment-file
-// creation (op 0 is the segment opened by WalWriter::Open, later ops are
-// size-triggered rolls): kFail aborts the roll cleanly, kCrash leaves a
-// torn segment header and kills the writer, kCorrupt flips header bits.
+// (replay recovers through it); kDelay sleeps inside the barrier. kWalRoll
+// is evaluated once per segment-file creation (op 0 is the segment opened
+// by WalWriter::Open, later ops are size-triggered rolls): kFail aborts the
+// roll cleanly, kCrash leaves a torn segment header and kills the writer,
+// kCorrupt flips header bits.
 inline constexpr char kWalAppend[] = "wal.append";
 inline constexpr char kWalFsync[] = "wal.fsync";
 inline constexpr char kWalRoll[] = "wal.roll";
@@ -227,6 +230,26 @@ class ScopedFaultInjection {
  private:
   FaultInjector* previous_;
 };
+
+// The torn-write rule every persisted write shares (snapshot files through
+// fileio::WriteFileAtomic, WAL segment headers, WAL records). What one write
+// of `*bytes` is told to do.
+struct WriteFault {
+  bool fail = false;   // reject cleanly: nothing reaches the file
+  bool crash = false;  // simulated kill mid-write: write `write_bytes`, die
+  // Bytes of `*bytes` that reach the file: all of them unless `crash`.
+  size_t write_bytes = 0;
+};
+
+// Evaluates `site` once for a write of `*bytes` when an injector is
+// installed and `site` is non-null (otherwise: no fault, write everything).
+// kFail sets `fail`. kCorrupt copies the bytes into `*corrupted`, flips bits
+// keyed by the injector seed and `corrupt_token`, and points `*bytes` at the
+// copy; the write then "succeeds". kCrash sets `crash` and keeps a
+// deterministic prefix of Mix64(seed ^ (size + C)) % (size + 1) bytes, so a
+// seed replays the same torn tail in every build.
+WriteFault EvaluateWriteFault(const char* site, uint64_t corrupt_token,
+                              std::string_view* bytes, std::string* corrupted);
 
 }  // namespace expbsi
 

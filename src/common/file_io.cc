@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "common/fault_injector.h"
-#include "common/hash.h"
 
 namespace expbsi {
 namespace fileio {
@@ -28,7 +27,8 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 std::string ErrnoText() { return std::strerror(errno); }
 
-// Flushes user-space buffers and asks the kernel to make the file durable.
+}  // namespace
+
 Status FlushAndSync(std::FILE* f, const std::string& path) {
   if (std::fflush(f) != 0) {
     return Status::Unavailable("fileio: flush failed for " + path + ": " +
@@ -41,9 +41,6 @@ Status FlushAndSync(std::FILE* f, const std::string& path) {
   return Status::OK();
 }
 
-// Best-effort fsync of the directory holding `path`, making a just-committed
-// rename durable. Failure to open the directory is ignored (some filesystems
-// refuse O_RDONLY on directories); a failed fsync on an open fd is not.
 Status SyncParentDir(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? std::string(".")
@@ -58,8 +55,6 @@ Status SyncParentDir(const std::string& path) {
   }
   return Status::OK();
 }
-
-}  // namespace
 
 Result<uint64_t> FileSizeOf(const std::string& path) {
   struct ::stat st;
@@ -101,29 +96,12 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents,
   const std::string tmp = path + ".tmp";
   std::string_view to_write = contents;
   std::string corrupted;  // backing storage when a corrupt fault fires
-
-  FaultInjector* const fi = FaultInjector::Get();
-  size_t torn_prefix = contents.size();
-  bool torn = false;
-  if (fi != nullptr && options.write_fault_site != nullptr) {
-    const FaultDecision fault = fi->Evaluate(options.write_fault_site);
-    if (fault.fail) {
-      return Status::Unavailable("fileio: injected write failure for " +
-                                 path);
-    }
-    if (fault.corrupt) {
-      corrupted.assign(contents.data(), contents.size());
-      fi->CorruptBlob(Mix64(fi->seed() ^ contents.size()), &corrupted);
-      to_write = corrupted;
-    }
-    if (fault.crash) {
-      // Simulated process kill mid-write: a deterministic prefix of the
-      // bytes reaches the .tmp file, the rename never happens.
-      torn = true;
-      torn_prefix = static_cast<size_t>(
-          Mix64(fi->seed() ^ (contents.size() + 0x517cc1b727220a95ull)) %
-          (contents.size() + 1));
-    }
+  // A kCrash is a simulated process kill mid-write: a deterministic prefix
+  // of the bytes reaches the .tmp file, the rename never happens.
+  const WriteFault fault = EvaluateWriteFault(
+      options.write_fault_site, contents.size(), &to_write, &corrupted);
+  if (fault.fail) {
+    return Status::Unavailable("fileio: injected write failure for " + path);
   }
 
   {
@@ -132,21 +110,22 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents,
       return Status::InvalidArgument("fileio: cannot open " + tmp +
                                      " for writing: " + ErrnoText());
     }
-    const size_t n = torn ? torn_prefix : to_write.size();
+    const size_t n = fault.write_bytes;
     if (n > 0 && std::fwrite(to_write.data(), 1, n, file.get()) != n) {
       return Status::Unavailable("fileio: short write of " + tmp + ": " +
                                  ErrnoText());
     }
     RETURN_IF_ERROR(FlushAndSync(file.get(), tmp));
   }
-  if (torn) {
+  if (fault.crash) {
     return Status::Unavailable("fileio: injected kill mid-write of " + path +
                                " (torn .tmp left behind)");
   }
 
+  FaultInjector* const fi = FaultInjector::Get();
   if (fi != nullptr && options.rename_fault_site != nullptr) {
-    const FaultDecision fault = fi->Evaluate(options.rename_fault_site);
-    if (fault.fail || fault.crash) {
+    const FaultDecision rename = fi->Evaluate(options.rename_fault_site);
+    if (rename.fail || rename.crash) {
       // Killed after the temp file is durable but before the commit rename:
       // the previous version of `path` stays fully intact.
       return Status::Unavailable("fileio: injected kill before rename of " +

@@ -2,6 +2,7 @@
 #define EXPBSI_COMMON_FILE_IO_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,6 +41,15 @@ struct AtomicWriteOptions {
 // that torn in-flight state.
 Status WriteFileAtomic(const std::string& path, std::string_view contents,
                        const AtomicWriteOptions& options = {});
+
+// Flushes user-space buffers and asks the kernel to make the file durable.
+Status FlushAndSync(std::FILE* f, const std::string& path);
+
+// Best-effort fsync of the directory holding `path`, making a just-created
+// or just-renamed entry durable. Failure to open the directory is ignored
+// (some filesystems refuse O_RDONLY on directories); a failed fsync on an
+// open fd is not.
+Status SyncParentDir(const std::string& path);
 
 // Renames src over dst (atomic within a filesystem).
 Status RenameFile(const std::string& src, const std::string& dst);

@@ -1,12 +1,12 @@
 #include "wal/wal.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 #include <thread>
 
 #include "common/byte_io.h"
@@ -14,7 +14,6 @@
 #include "common/crc32c.h"
 #include "common/fault_injector.h"
 #include "common/file_io.h"
-#include "common/hash.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,34 +25,6 @@ constexpr char kWalFilePrefix[] = "wal-";
 constexpr char kWalFileSuffix[] = ".log";
 
 std::string ErrnoText() { return std::strerror(errno); }
-
-// Flush + fsync (the fileio helpers are file-local to file_io.cc).
-Status FlushAndSync(std::FILE* f, const std::string& path) {
-  if (std::fflush(f) != 0) {
-    return Status::Unavailable("wal: flush failed for " + path + ": " +
-                               ErrnoText());
-  }
-  if (::fsync(::fileno(f)) != 0) {
-    return Status::Unavailable("wal: fsync failed for " + path + ": " +
-                               ErrnoText());
-  }
-  return Status::OK();
-}
-
-Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? std::string(".")
-                                                     : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd < 0) return Status::OK();
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return Status::Unavailable("wal: directory fsync failed for " + dir +
-                               ": " + ErrnoText());
-  }
-  return Status::OK();
-}
 
 void EncodeEvent(std::string* out, const WalEvent& event) {
   PutU8(out, static_cast<uint8_t>(event.kind));
@@ -343,7 +314,9 @@ WalWriter::WalWriter(std::string dir, WalOptions options)
 
 WalWriter::~WalWriter() {
   if (file_ != nullptr) {
-    if (!dead_ && unsynced_) FlushAndSync(file_, active_path_);  // best effort
+    if (!dead_ && unsynced_) {
+      fileio::FlushAndSync(file_, active_path_);  // best effort
+    }
     std::fclose(file_);
   }
 }
@@ -395,25 +368,14 @@ Status WalWriter::StartSegment(uint64_t first_sequence) {
     std::fclose(file_);
     file_ = nullptr;
   }
-  std::string header = EncodeSegmentHeader(first_sequence);
+  const std::string header = EncodeSegmentHeader(first_sequence);
   const std::string path = dir_ + "/" + WalSegmentFileName(first_sequence);
-
-  size_t write_bytes = header.size();
-  bool crash = false;
-  if (FaultInjector* fi = FaultInjector::Get(); fi != nullptr) {
-    const FaultDecision d = fi->Evaluate(fault_sites::kWalRoll);
-    if (d.fail) {
-      return Status::Unavailable("wal: injected roll failure for " + path);
-    }
-    if (d.corrupt) {
-      fi->CorruptBlob(Mix64(fi->seed() ^ first_sequence), &header);
-    }
-    if (d.crash) {
-      crash = true;
-      write_bytes = static_cast<size_t>(
-          Mix64(fi->seed() ^ (header.size() + 0x517cc1b727220a95ull)) %
-          (header.size() + 1));
-    }
+  std::string_view bytes = header;
+  std::string corrupted;
+  const WriteFault fault = EvaluateWriteFault(
+      fault_sites::kWalRoll, first_sequence, &bytes, &corrupted);
+  if (fault.fail) {
+    return Status::Unavailable("wal: injected roll failure for " + path);
   }
 
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -421,23 +383,23 @@ Status WalWriter::StartSegment(uint64_t first_sequence) {
     return Status::Unavailable("wal: cannot create segment " + path + ": " +
                                ErrnoText());
   }
-  if (write_bytes > 0 &&
-      std::fwrite(header.data(), 1, write_bytes, f) != write_bytes) {
+  if (fault.write_bytes > 0 &&
+      std::fwrite(bytes.data(), 1, fault.write_bytes, f) != fault.write_bytes) {
     std::fclose(f);
     return Status::Unavailable("wal: short write of segment header " + path);
   }
-  const Status synced = FlushAndSync(f, path);
+  const Status synced = fileio::FlushAndSync(f, path);
   if (!synced.ok()) {
     std::fclose(f);
     return synced;
   }
-  if (crash) {
+  if (fault.crash) {
     std::fclose(f);
     dead_ = true;
     return Status::Unavailable("wal: injected kill mid-roll of " + path +
                                " (torn segment header left behind)");
   }
-  RETURN_IF_ERROR(SyncParentDir(path));
+  RETURN_IF_ERROR(fileio::SyncParentDir(path));
   file_ = f;
   active_path_ = path;
   active_first_sequence_ = first_sequence;
@@ -452,7 +414,7 @@ Status WalWriter::StartSegment(uint64_t first_sequence) {
 
 Status WalWriter::CloseSegment() {
   if (file_ == nullptr) return Status::OK();
-  Status status = unsynced_ ? FlushAndSync(file_, active_path_)
+  Status status = unsynced_ ? fileio::FlushAndSync(file_, active_path_)
                             : Status::OK();
   std::fclose(file_);
   file_ = nullptr;
@@ -461,118 +423,6 @@ Status WalWriter::CloseSegment() {
 }
 
 Result<uint64_t> WalWriter::Append(const std::vector<WalEvent>& events) {
-  if (options_.group_commit) return AppendGrouped(events);
-  static obs::Counter& appends = obs::GetCounter("wal.appends");
-  static obs::Counter& append_bytes = obs::GetCounter("wal.append_bytes");
-  static obs::Counter& append_failures =
-      obs::GetCounter("wal.append_failures");
-  static obs::Counter& fsyncs = obs::GetCounter("wal.fsyncs");
-  if (dead_) {
-    append_failures.Add();
-    return Status::Unavailable("wal: writer is dead after a crash");
-  }
-  if (events.size() > kMaxWalEventsPerRecord) {
-    return Status::InvalidArgument("wal: record of " +
-                                   std::to_string(events.size()) +
-                                   " events exceeds the per-record cap");
-  }
-  const uint64_t sequence = next_sequence_;
-  std::string record = EncodeRecord(sequence, events);
-
-  // Roll before the append that would cross the size threshold; a record is
-  // never split across segments.
-  if (file_ != nullptr &&
-      active_segment_bytes_ > kWalSegmentHeaderBytes &&
-      active_segment_bytes_ + record.size() > options_.segment_bytes) {
-    RETURN_IF_ERROR(CloseSegment());
-  }
-  if (file_ == nullptr) {
-    const Status started = StartSegment(sequence);
-    if (!started.ok()) {
-      append_failures.Add();
-      return started;
-    }
-  }
-
-  size_t write_bytes = record.size();
-  bool crash = false;
-  if (FaultInjector* fi = FaultInjector::Get(); fi != nullptr) {
-    const FaultDecision d = fi->Evaluate(fault_sites::kWalAppend);
-    if (d.fail) {
-      append_failures.Add();
-      return Status::Unavailable("wal: injected append failure");
-    }
-    if (d.corrupt) {
-      fi->CorruptBlob(Mix64(fi->seed() ^ sequence), &record);
-    }
-    if (d.crash) {
-      crash = true;
-      write_bytes = static_cast<size_t>(
-          Mix64(fi->seed() ^ (record.size() + 0x517cc1b727220a95ull)) %
-          (record.size() + 1));
-    }
-  }
-
-  if (write_bytes > 0 &&
-      std::fwrite(record.data(), 1, write_bytes, file_) != write_bytes) {
-    // A short physical write leaves the tail in an unknown state; the
-    // writer refuses further appends and recovery sorts out the prefix.
-    dead_ = true;
-    append_failures.Add();
-    return Status::Unavailable("wal: short write of record " +
-                               std::to_string(sequence));
-  }
-  if (crash) {
-    // Simulated process kill mid-append: the torn prefix reaches the file
-    // (fsynced so replay sees what a real crash could have left), and the
-    // writer is dead from here on.
-    FlushAndSync(file_, active_path_);
-    dead_ = true;
-    append_failures.Add();
-    return Status::Unavailable("wal: injected kill mid-append of record " +
-                               std::to_string(sequence) +
-                               " (torn tail left behind)");
-  }
-  unsynced_ = true;
-
-  if (options_.sync_each_append) {
-    if (std::fflush(file_) != 0) {
-      dead_ = true;
-      append_failures.Add();
-      return Status::Unavailable("wal: flush failed for " + active_path_);
-    }
-    // The bytes are flushed before the barrier fault is evaluated: a killed
-    // fsync still leaves the record on disk, so replay recovers THROUGH the
-    // record whose barrier died (the fsync-kill invariant the chaos sweep
-    // asserts).
-    if (FaultInjector* fi = FaultInjector::Get(); fi != nullptr) {
-      const FaultDecision d = fi->Evaluate(fault_sites::kWalFsync);
-      if (d.fail || d.crash) {
-        dead_ = true;
-        append_failures.Add();
-        return Status::Unavailable(
-            "wal: injected fsync failure after record " +
-            std::to_string(sequence));
-      }
-    }
-    if (::fsync(::fileno(file_)) != 0) {
-      dead_ = true;
-      append_failures.Add();
-      return Status::Unavailable("wal: fsync failed for " + active_path_);
-    }
-    unsynced_ = false;
-    fsyncs_performed_.fetch_add(1, std::memory_order_relaxed);
-    fsyncs.Add();
-  }
-
-  active_segment_bytes_ += record.size();
-  next_sequence_ = sequence + 1;
-  appends.Add();
-  append_bytes.Add(record.size());
-  return sequence;
-}
-
-Result<uint64_t> WalWriter::AppendGrouped(const std::vector<WalEvent>& events) {
   static obs::Counter& appends = obs::GetCounter("wal.appends");
   static obs::Counter& append_bytes = obs::GetCounter("wal.append_bytes");
   static obs::Counter& append_failures =
@@ -601,6 +451,10 @@ Result<uint64_t> WalWriter::AppendGrouped(const std::vector<WalEvent>& events) {
     }
     const Status closed = CloseSegment();
     if (!closed.ok()) {
+      // The closing fsync failed, so what the old segment holds is unknown:
+      // the writer dies as it does when the barrier's own fsync fails.
+      dead_ = true;
+      cv_.notify_all();
       append_failures.Add();
       return closed;
     }
@@ -618,35 +472,30 @@ Result<uint64_t> WalWriter::AppendGrouped(const std::vector<WalEvent>& events) {
     }
   }
 
-  size_t write_bytes = record.size();
-  bool crash = false;
-  if (FaultInjector* fi = FaultInjector::Get(); fi != nullptr) {
-    const FaultDecision d = fi->Evaluate(fault_sites::kWalAppend);
-    if (d.fail) {
-      append_failures.Add();
-      return Status::Unavailable("wal: injected append failure");
-    }
-    if (d.corrupt) {
-      fi->CorruptBlob(Mix64(fi->seed() ^ sequence), &record);
-    }
-    if (d.crash) {
-      crash = true;
-      write_bytes = static_cast<size_t>(
-          Mix64(fi->seed() ^ (record.size() + 0x517cc1b727220a95ull)) %
-          (record.size() + 1));
-    }
+  std::string_view bytes = record;
+  std::string corrupted;
+  const WriteFault fault =
+      EvaluateWriteFault(fault_sites::kWalAppend, sequence, &bytes, &corrupted);
+  if (fault.fail) {
+    append_failures.Add();
+    return Status::Unavailable("wal: injected append failure");
   }
-
-  if (write_bytes > 0 &&
-      std::fwrite(record.data(), 1, write_bytes, file_) != write_bytes) {
+  if (fault.write_bytes > 0 &&
+      std::fwrite(bytes.data(), 1, fault.write_bytes, file_) !=
+          fault.write_bytes) {
+    // A short physical write leaves the tail in an unknown state; the
+    // writer refuses further appends and recovery sorts out the prefix.
     dead_ = true;
     cv_.notify_all();
     append_failures.Add();
     return Status::Unavailable("wal: short write of record " +
                                std::to_string(sequence));
   }
-  if (crash) {
-    FlushAndSync(file_, active_path_);
+  if (fault.crash) {
+    // Simulated process kill mid-append: the torn prefix reaches the file
+    // (fsynced so replay sees what a real crash could have left), and the
+    // writer is dead from here on.
+    fileio::FlushAndSync(file_, active_path_);
     dead_ = true;
     cv_.notify_all();
     append_failures.Add();
@@ -675,7 +524,7 @@ Status WalWriter::WaitDurableLocked(std::unique_lock<std::mutex>& lock,
   while (true) {
     if (durable_sequence_ >= sequence) return Status::OK();
     if (dead_) {
-      return Status::Unavailable("wal: group fsync failed before record " +
+      return Status::Unavailable("wal: fsync failed before record " +
                                  std::to_string(sequence) +
                                  " was acknowledged");
     }
@@ -692,9 +541,10 @@ Status WalWriter::WaitDurableLocked(std::unique_lock<std::mutex>& lock,
         result = Status::Unavailable("wal: flush failed for " + path);
       }
       if (result.ok()) {
-        // Same barrier semantics as the single-append path: the bytes are
-        // flushed before the fault is evaluated, so a killed fsync still
-        // leaves every record of this batch replayable.
+        // The bytes are flushed before the fault is evaluated: a killed
+        // fsync still leaves every record of this batch on disk, so replay
+        // recovers THROUGH the records whose barrier died (the fsync-kill
+        // invariant the chaos sweep asserts).
         if (FaultInjector* fi = FaultInjector::Get(); fi != nullptr) {
           const FaultDecision d = fi->Evaluate(fault_sites::kWalFsync);
           if (d.delay_seconds > 0) {
@@ -703,7 +553,8 @@ Status WalWriter::WaitDurableLocked(std::unique_lock<std::mutex>& lock,
           }
           if (d.fail || d.crash) {
             result = Status::Unavailable(
-                "wal: injected fsync failure at the group barrier");
+                "wal: injected fsync failure at the barrier through record " +
+                std::to_string(target));
           }
         }
       }
@@ -729,41 +580,18 @@ Status WalWriter::WaitDurableLocked(std::unique_lock<std::mutex>& lock,
 }
 
 Status WalWriter::Sync() {
-  if (options_.group_commit) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (dead_) {
-      return Status::Unavailable("wal: writer is dead after a crash");
-    }
-    if (file_ == nullptr || !unsynced_ || next_sequence_ == 1) {
-      return Status::OK();
-    }
-    return WaitDurableLocked(lock, next_sequence_ - 1);
-  }
+  std::unique_lock<std::mutex> lock(mu_);
   if (dead_) return Status::Unavailable("wal: writer is dead after a crash");
   if (file_ == nullptr || !unsynced_) return Status::OK();
-  if (std::fflush(file_) != 0) {
-    dead_ = true;
-    return Status::Unavailable("wal: flush failed for " + active_path_);
-  }
-  if (FaultInjector* fi = FaultInjector::Get(); fi != nullptr) {
-    const FaultDecision d = fi->Evaluate(fault_sites::kWalFsync);
-    if (d.fail || d.crash) {
-      dead_ = true;
-      return Status::Unavailable("wal: injected fsync failure");
-    }
-  }
-  if (::fsync(::fileno(file_)) != 0) {
-    dead_ = true;
-    return Status::Unavailable("wal: fsync failed for " + active_path_);
-  }
-  unsynced_ = false;
-  fsyncs_performed_.fetch_add(1, std::memory_order_relaxed);
-  static obs::Counter& fsyncs = obs::GetCounter("wal.fsyncs");
-  fsyncs.Add();
-  return Status::OK();
+  return WaitDurableLocked(lock, next_sequence_ - 1);
 }
 
 Result<uint32_t> WalWriter::TruncateThrough(uint64_t sequence) {
+  std::string active_path;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    active_path = active_path_;
+  }
   Result<std::vector<std::string>> listing = fileio::ListDir(dir_);
   RETURN_IF_ERROR(listing.status());
   std::vector<std::pair<uint64_t, std::string>> files;
@@ -778,7 +606,7 @@ Result<uint32_t> WalWriter::TruncateThrough(uint64_t sequence) {
     // it is disposable exactly when that next-first is <= sequence + 1. The
     // active segment is last in the sorted order and never removed.
     if (files[i + 1].first > sequence + 1) break;
-    if (dir_ + "/" + files[i].second == active_path_) break;
+    if (dir_ + "/" + files[i].second == active_path) break;
     RETURN_IF_ERROR(fileio::RemoveFileIfExists(dir_ + "/" + files[i].second));
     ++removed;
   }

@@ -104,14 +104,6 @@ struct WalOptions {
   // fsync after every append (the durable default). When off, durability
   // barriers are explicit Sync() calls and the roll/close points.
   bool sync_each_append = true;
-  // Leader-based group commit: Append becomes thread-safe and concurrent
-  // appends share fsync barriers. One appender at a time acts as the sync
-  // leader; everyone whose record was written before the leader's flush
-  // began is covered by that one fsync, and later writers wait for the
-  // next leader. The durability contract is unchanged -- Append still
-  // returns only once ITS record is on disk -- but a burst of N concurrent
-  // appends costs far fewer than N fsyncs.
-  bool group_commit = false;
 };
 
 // Format constants, exposed for tests and the fuzz harness.
@@ -162,13 +154,21 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   // Appends one record holding `events` and returns its sequence number.
-  // With options.sync_each_append the record is durable on return. On a
-  // clean failure (injected kFail, roll failure) nothing is written and the
-  // sequence is not consumed; after a simulated crash the writer is dead
-  // and every further call returns Unavailable.
+  // Thread-safe, like every call below: appends serialize on the writer's
+  // mutex, which assigns dense sequences. With options.sync_each_append the
+  // record is durable on return, and concurrent appends share fsyncs (group
+  // commit): one appender leads the barrier, and every record written
+  // before its flush began is covered by that one fsync, so a burst of N
+  // concurrent appends costs far fewer than N fsyncs while a lone appender
+  // gets one fsync per record. On a clean failure (injected kFail, roll
+  // failure) nothing is written and the sequence is not consumed. After a
+  // simulated crash or a failed barrier the writer is dead and every
+  // further call returns Unavailable; a record whose barrier failed was
+  // flushed first, so it counts as appended and replays.
   Result<uint64_t> Append(const std::vector<WalEvent>& events);
 
-  // Explicit durability barrier (no-op when nothing is pending).
+  // Explicit durability barrier (no-op when nothing is pending); the same
+  // barrier a synced Append waits on.
   Status Sync();
 
   // Removes segments whose records all have sequence <= `sequence` (the
@@ -177,14 +177,27 @@ class WalWriter {
   Result<uint32_t> TruncateThrough(uint64_t sequence);
 
   // Sequence the next Append will get.
-  uint64_t next_sequence() const { return next_sequence_; }
+  uint64_t next_sequence() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return next_sequence_;
+  }
   // First sequence of the active segment.
-  uint64_t active_first_sequence() const { return active_first_sequence_; }
-  uint64_t active_segment_bytes() const { return active_segment_bytes_; }
-  bool dead() const { return dead_; }
+  uint64_t active_first_sequence() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return active_first_sequence_;
+  }
+  uint64_t active_segment_bytes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return active_segment_bytes_;
+  }
+  bool dead() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return dead_;
+  }
   const std::string& dir() const { return dir_; }
-  // Physical fsync barriers issued so far (group commit batches many acked
-  // appends behind one of these; without batching it tracks the appends).
+  // Durability barriers issued so far: one per synced append or Sync() for
+  // a lone appender; concurrent appenders batch many acked appends behind
+  // one. Roll and close fsyncs are not counted.
   uint64_t fsyncs_performed() const {
     return fsyncs_performed_.load(std::memory_order_relaxed);
   }
@@ -193,20 +206,25 @@ class WalWriter {
   WalWriter(std::string dir, WalOptions options);
 
   // Opens a new segment file starting at `first_sequence` (the wal.roll
-  // fault site). Leaves the writer segment-less on failure.
+  // fault site). Leaves the writer segment-less on failure. Caller holds
+  // mu_ (or owns the writer exclusively, as Open does).
   Status StartSegment(uint64_t first_sequence);
   Status CloseSegment();
 
-  // The group-commit paths (options_.group_commit). AppendGrouped serializes
-  // the write under mu_, then blocks in WaitDurableLocked until an fsync
-  // covering `sequence` has completed -- either one it leads itself or one
-  // a concurrent appender led while it waited.
-  Result<uint64_t> AppendGrouped(const std::vector<WalEvent>& events);
+  // The durability barrier, the only flush -> wal.fsync -> fsync sequence.
+  // Called with mu_ held through `lock`; blocks until an fsync covering
+  // `sequence` has completed -- either one it leads itself (mu_ released
+  // around the flush and fsync) or one a concurrent appender led while it
+  // waited.
   Status WaitDurableLocked(std::unique_lock<std::mutex>& lock,
                            uint64_t sequence);
 
-  std::string dir_;
-  WalOptions options_;
+  const std::string dir_;
+  const WalOptions options_;
+
+  // Writer state, all under mu_ except the relaxed counter.
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
   std::FILE* file_ = nullptr;
   std::string active_path_;
   uint64_t active_first_sequence_ = 1;
@@ -214,11 +232,7 @@ class WalWriter {
   uint64_t next_sequence_ = 1;
   bool dead_ = false;
   bool unsynced_ = false;
-
-  // Group-commit state, all under mu_ except the relaxed counter.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool sync_in_flight_ = false;
+  bool sync_in_flight_ = false;  // a leader is inside the barrier
   uint64_t durable_sequence_ = 0;  // highest sequence known to be on disk
   std::atomic<uint64_t> fsyncs_performed_{0};
 };

@@ -100,10 +100,27 @@ TEST_F(ClusterTest, PrecomputeNormalMatchesBsi) {
 TEST_F(ClusterTest, NormalReadsMoreBytesThanBsi) {
   // The headline network-traffic claim: BSI blobs are much smaller than the
   // rows the normal method must move.
+  const NormalDataIndex index = NormalDataIndex::Build(*dataset_);
   const uint64_t bsi_bytes = BsiPairReadBytes(*bsi_, 802, 901, 50, 56);
   const uint64_t normal_bytes =
-      NormalPairReadBytes(*dataset_, 802, 901, 50, 56);
+      NormalPairReadBytes(*dataset_, index, 802, 901, 50, 56);
   EXPECT_LT(bsi_bytes, normal_bytes);
+
+  // RunNormal's bytes_read is exactly that accounting, summed over its
+  // pairs: one byte rule for the normal format.
+  PrecomputeConfig config;
+  config.num_threads = 2;
+  config.batch_size = 8;
+  PrecomputePipeline normal_pipe(dataset_, bsi_, config);
+  const std::vector<StrategyMetricPair> pairs = {{801, 901}, {802, 902}};
+  const PrecomputeStats stats = normal_pipe.RunNormal(pairs, 50, 56);
+  uint64_t expected = 0;
+  for (const StrategyMetricPair& pair : pairs) {
+    expected +=
+        NormalPairReadBytes(*dataset_, index, pair.first, pair.second, 50, 56);
+  }
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(stats.bytes_read, expected);
 }
 
 TEST_F(ClusterTest, AdhocBsiQueryMatchesDirectEngine) {

@@ -685,12 +685,73 @@ TEST(WalFaultTest, FsyncCrashStillDurableForTheFlushedRecord) {
   ExpectRecordsEq(replayed.value(), appended);
 }
 
+TEST(WalFaultTest, LoneAppenderGetsOneBarrierPerSyncedRecord) {
+  // With one appender nothing is batched: each synced append leads its own
+  // barrier, one fsync and one wal.fsync evaluation per record -- the
+  // op-by-op schedule the chaos sweeps replay ("op k dies during batch k").
+  const std::string dir = FreshDir("wal_fault_lone_barriers");
+  constexpr uint64_t kAppends = 5;
+  FaultInjector injector(/*seed=*/19);
+  // Op kAppends is the (kAppends + 1)-th barrier: it fires on the next
+  // append only if each earlier append evaluated wal.fsync exactly once.
+  injector.ScheduleFault(fault_sites::kWalFsync, kAppends, FaultKind::kFail);
+  ScopedFaultInjection scoped(&injector);
+
+  WalOptions options;  // sync_each_append
+  Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir, options);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_EQ(injector.stats().evaluations, 1u);  // wal.roll op 0
+  for (uint64_t tag = 1; tag <= kAppends; ++tag) {
+    ASSERT_TRUE(writer.value()->Append(MakeEvents(2, tag)).ok());
+    EXPECT_EQ(writer.value()->fsyncs_performed(), tag);
+    // One wal.append and one wal.fsync evaluation per record.
+    EXPECT_EQ(injector.stats().evaluations, 1 + 2 * tag);
+  }
+  EXPECT_EQ(injector.stats().any(), 0u);
+  EXPECT_FALSE(writer.value()->Append(MakeEvents(2, kAppends + 1)).ok());
+  EXPECT_TRUE(writer.value()->dead());
+  EXPECT_EQ(injector.stats().fails, 1u);
+  EXPECT_EQ(writer.value()->fsyncs_performed(), kAppends);
+}
+
+TEST(WalFaultTest, UnsyncedAppendsShareOneExplicitSync) {
+  const std::string dir = FreshDir("wal_fault_unsynced_sync");
+  constexpr uint64_t kAppends = 6;
+  FaultInjector injector(/*seed=*/23);
+  ScopedFaultInjection scoped(&injector);
+
+  WalOptions options;
+  options.sync_each_append = false;
+  Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir, options);
+  ASSERT_TRUE(writer.ok());
+  for (uint64_t tag = 1; tag <= kAppends; ++tag) {
+    ASSERT_TRUE(writer.value()->Append(MakeEvents(1, tag)).ok());
+  }
+  EXPECT_EQ(writer.value()->fsyncs_performed(), 0u);
+  // wal.roll op 0 plus one wal.append per record; no barrier yet.
+  EXPECT_EQ(injector.stats().evaluations, 1 + kAppends);
+
+  ASSERT_TRUE(writer.value()->Sync().ok());
+  EXPECT_EQ(writer.value()->fsyncs_performed(), 1u);
+  EXPECT_EQ(injector.stats().evaluations, 2 + kAppends);
+  // Nothing is pending: a second Sync issues no barrier at all.
+  ASSERT_TRUE(writer.value()->Sync().ok());
+  EXPECT_EQ(writer.value()->fsyncs_performed(), 1u);
+  EXPECT_EQ(injector.stats().evaluations, 2 + kAppends);
+  writer.value().reset();
+
+  WalRecoveryReport report;
+  const Result<std::vector<WalRecord>> replayed = ReplayWal(dir, &report);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(replayed.value().size(), kAppends);
+}
+
 // ---------------------------------------------------------------------------
-// Group commit (WalOptions::group_commit): concurrent appends share fsync
-// barriers, but the acked-prefix durability contract is byte-for-byte the
-// one the single-append path gives -- Append returns only once its record
-// is on disk, and a record whose barrier died was flushed first, so it
-// still replays.
+// Group commit: the writer's one barrier lets concurrent appends share
+// fsyncs, and the acked-prefix durability contract is the one a lone
+// appender gets -- Append returns only once its record is on disk, and a
+// record whose barrier died was flushed first, so it still replays.
 // ---------------------------------------------------------------------------
 
 TEST(WalGroupCommitTest, ConcurrentAppendsAreDurableAndBatchFsyncs) {
@@ -707,8 +768,7 @@ TEST(WalGroupCommitTest, ConcurrentAppendsAreDurableAndBatchFsyncs) {
   injector.SetDelayProbability(fault_sites::kWalFsync, 1.0, 0.002);
   ScopedFaultInjection scoped(&injector);
 
-  WalOptions options;
-  options.group_commit = true;  // sync_each_append stays true: acked=durable
+  WalOptions options;  // sync_each_append: acked = durable
   std::map<uint64_t, std::vector<WalEvent>> acked;
   std::mutex acked_mu;
   {
@@ -768,7 +828,6 @@ TEST(WalGroupCommitTest, AckedPrefixSurvivesGroupBarrierKill) {
     injector.ScheduleFault(fault_sites::kWalFsync, 3, FaultKind::kFail);
     ScopedFaultInjection scoped(&injector);
     WalOptions options;
-    options.group_commit = true;
     Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir, options);
     ASSERT_TRUE(writer.ok());
     for (uint64_t tag = 1; tag <= 3; ++tag) {
@@ -807,7 +866,6 @@ TEST(WalGroupCommitTest, ConcurrentAckedRecordsAlwaysReplayAfterBarrierLoss) {
   ScopedFaultInjection scoped(&injector);
 
   WalOptions options;
-  options.group_commit = true;
   std::map<uint64_t, std::vector<WalEvent>> acked;
   std::mutex acked_mu;
   {
