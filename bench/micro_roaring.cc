@@ -2,9 +2,13 @@
 // operation speed tracks data density -- dense (compact-position) bitmaps
 // run word-at-a-time, sparse ones element-at-a-time.
 
+#include <set>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "roaring/container.h"
 #include "roaring/roaring_bitmap.h"
 
 namespace expbsi {
@@ -102,6 +106,42 @@ void BM_RoaringRunOptimizedAnd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RoaringRunOptimizedAnd);
+
+// The ingest delta merge's container step: a 64-position delta ORed into
+// one slice container of a day's BSI, Arg(0) an array receiver of ~1,400
+// values (the backward in-place merge), Arg(1) a bitmap receiver (set and
+// count only the delta's bits). Every iteration ORs into a fresh copy of
+// the receiver so each one sees the same shapes; the copy is a memcpy of
+// the receiver's payload and is part of the timing.
+void BM_ContainerOrInPlaceSmallDelta(benchmark::State& state) {
+  Rng rng(7);
+  const int receiver_values = state.range(0) == 0 ? 1400 : 20000;
+  std::set<uint16_t> receiver_set;
+  while (static_cast<int>(receiver_set.size()) < receiver_values) {
+    receiver_set.insert(static_cast<uint16_t>(rng.NextBounded(65536)));
+  }
+  std::set<uint16_t> delta_set;
+  while (delta_set.size() < 64) {
+    const auto v = static_cast<uint16_t>(rng.NextBounded(65536));
+    if (receiver_set.count(v) == 0) delta_set.insert(v);
+  }
+  const std::vector<uint16_t> receiver_values_sorted(receiver_set.begin(),
+                                                     receiver_set.end());
+  const std::vector<uint16_t> delta_values(delta_set.begin(),
+                                           delta_set.end());
+  const Container receiver = Container::FromSorted(
+      receiver_values_sorted.data(),
+      static_cast<int>(receiver_values_sorted.size()));
+  const Container delta = Container::FromSorted(
+      delta_values.data(), static_cast<int>(delta_values.size()));
+  for (auto _ : state) {
+    Container c = receiver;
+    c.OrInPlaceWith(delta);
+    benchmark::DoNotOptimize(c.Cardinality());
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_ContainerOrInPlaceSmallDelta)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace expbsi

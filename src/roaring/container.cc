@@ -796,6 +796,16 @@ void Container::OrInPlaceWith(const Container& other) {
   }
   if (type_ == ContainerType::kBitmap) {
     // OR never shrinks a bitmap below the threshold, so no normalization.
+    if (other.type_ == ContainerType::kArray) {
+      // Count only the bits this delta sets, not all 1,024 words.
+      for (const uint16_t v : other.array_) {
+        uint64_t& word = words_[v >> 6];
+        const uint64_t bit = uint64_t{1} << (v & 63);
+        cardinality_ += (word & bit) == 0;
+        word |= bit;
+      }
+      return;
+    }
     other.UnionInto(words_.data());
     cardinality_ = BitmapCount(words_);
     return;
@@ -803,14 +813,33 @@ void Container::OrInPlaceWith(const Container& other) {
   if (type_ == ContainerType::kArray &&
       other.type_ == ContainerType::kArray &&
       cardinality_ + other.cardinality_ <= kArrayMaxCardinality) {
-    // Merge through a reusable scratch vector, then copy back into the
-    // receiver's existing capacity: steady-state, no heap traffic.
-    static thread_local std::vector<uint16_t> scratch;
-    scratch.clear();
-    scratch.reserve(kArrayMaxCardinality);
-    std::set_union(array_.begin(), array_.end(), other.array_.begin(),
-                   other.array_.end(), std::back_inserter(scratch));
-    array_.assign(scratch.begin(), scratch.end());
+    const size_t n = array_.size();
+    const size_t m = other.array_.size();
+    if (other.array_.front() > array_.back()) {
+      array_.insert(array_.end(), other.array_.begin(), other.array_.end());
+      cardinality_ = static_cast<int32_t>(n + m);
+      return;
+    }
+    // Merge backwards into the grown tail: the write cursor k never drops
+    // below i + j, so it never overwrites a receiver value not yet read,
+    // and the merge stops at the delta's minimum, leaving the prefix below
+    // it untouched. Each duplicate leaves one slot of gap in front of the
+    // merged tail, which the final move closes.
+    array_.resize(n + m);
+    uint16_t* a = array_.data();
+    const uint16_t* b = other.array_.data();
+    size_t i = n, j = m, k = n + m;
+    while (j > 0) {
+      const uint16_t v = b[j - 1];
+      while (i > 0 && a[i - 1] > v) a[--k] = a[--i];
+      if (i > 0 && a[i - 1] == v) --i;
+      a[--k] = v;
+      --j;
+    }
+    if (k > i) {
+      std::copy(a + k, a + n + m, a + i);
+      array_.resize(n + m - (k - i));
+    }
     cardinality_ = static_cast<int32_t>(array_.size());
     return;
   }

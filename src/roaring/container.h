@@ -79,9 +79,15 @@ class Container {
 
   // Destructive in-place variants: mutate the receiver without reallocating
   // its payload where the representation allows (bitmap words are updated in
-  // place; small array-array unions reuse the existing array capacity). They
-  // fall back to the allocating static ops otherwise, so they are always
-  // semantically identical to `*this = Op(*this, other)`.
+  // place). They fall back to the allocating static ops otherwise, so they
+  // are always semantically identical to `*this = Op(*this, other)`.
+  //
+  // OrInPlaceWith costs the delta, not the receiver, on the paths a BSI
+  // merge takes: a bitmap receiver of an array delta sets each bit and
+  // counts only the bits that were clear; an array receiver of an array
+  // delta whose union still fits in an array appends when the delta lies
+  // above its maximum, and otherwise merges backwards in place, touching
+  // only the values above the delta's minimum.
   void OrInPlaceWith(const Container& other);
   void AndInPlaceWith(const Container& other);
   void XorInPlaceWith(const Container& other);

@@ -8,6 +8,30 @@
 #include "obs/metrics.h"
 
 namespace expbsi {
+namespace {
+
+// Stable-sorts one key's events by unit and folds each unit's events, in
+// arrival order, into its first entry: fold(kept, next). Leaves one entry
+// per unit, ascending unit id -- the order PositionEncoder::Encode must see
+// them in for a log to rebuild the same store bit for bit.
+template <typename Entry, typename Fold>
+void FoldByUnit(std::vector<Entry>* entries, Fold fold) {
+  std::stable_sort(
+      entries->begin(), entries->end(),
+      [](const Entry& a, const Entry& b) { return a.unit < b.unit; });
+  size_t kept = 0;
+  for (size_t i = 0; i < entries->size(); ++i) {
+    const Entry& next = (*entries)[i];
+    if (kept > 0 && (*entries)[kept - 1].unit == next.unit) {
+      fold((*entries)[kept - 1], next);
+    } else {
+      (*entries)[kept++] = next;
+    }
+  }
+  entries->resize(kept);
+}
+
+}  // namespace
 
 DeltaBuilder::DeltaBuilder(int num_segments, int num_buckets,
                            bool bucket_equals_segment)
@@ -22,26 +46,18 @@ void DeltaBuilder::Add(const WalEvent& event) {
   const int seg = SegmentOf(event.analysis_unit_id, num_segments_);
   SegmentDelta& delta = deltas_[static_cast<size_t>(seg)];
   switch (event.kind) {
-    case WalEventKind::kExpose: {
-      auto [it, inserted] = delta.expose[event.id].try_emplace(
-          event.analysis_unit_id, event.date, event.randomization_unit_id);
-      if (!inserted && event.date < it->second.first) {
-        // Earliest first-expose date wins; the randomization unit rides
-        // along with it (it is a property of the unit, not the date).
-        it->second = {event.date, event.randomization_unit_id};
-      }
+    case WalEventKind::kExpose:
+      delta.expose[event.id].push_back(
+          {event.analysis_unit_id, event.date, event.randomization_unit_id});
       break;
-    }
-    case WalEventKind::kMetric: {
-      delta.metrics[{event.id, event.date}][event.analysis_unit_id] +=
-          event.value;
+    case WalEventKind::kMetric:
+      delta.metrics[{event.id, event.date}].push_back(
+          {event.analysis_unit_id, event.value});
       break;
-    }
-    case WalEventKind::kDimension: {
+    case WalEventKind::kDimension:
       delta.dimensions[{static_cast<uint32_t>(event.id), event.date}]
-                      [event.analysis_unit_id] = event.value;
+          .push_back({event.analysis_unit_id, event.value});
       break;
-    }
   }
   ++num_events_;
 }
@@ -52,19 +68,19 @@ void DeltaBuilder::AddRecord(const WalRecord& record) {
 
 void DeltaBuilder::MergeExpose(
     SegmentBsiData* segment, uint64_t strategy_id,
-    const std::map<UnitId, std::pair<Date, UnitId>>& units) {
+    const std::vector<ExposeEntry>& units) {
   auto it = segment->expose.find(strategy_id);
   if (it == segment->expose.end()) {
     // First sight of this strategy in this segment: the batch builder
     // already does exactly what we need.
     std::vector<ExposeRow> rows;
     rows.reserve(units.size());
-    for (const auto& [unit, date_and_rand] : units) {
+    for (const ExposeEntry& entry : units) {
       ExposeRow row;
       row.strategy_id = strategy_id;
-      row.analysis_unit_id = unit;
-      row.randomization_unit_id = date_and_rand.second;
-      row.first_expose_date = date_and_rand.first;
+      row.analysis_unit_id = entry.unit;
+      row.randomization_unit_id = entry.randomization_unit;
+      row.first_expose_date = entry.date;
       rows.push_back(row);
     }
     segment->expose.emplace(
@@ -75,9 +91,9 @@ void DeltaBuilder::MergeExpose(
   }
 
   ExposeBsi& live = it->second;
-  Date delta_min = units.begin()->second.first;
-  for (const auto& [unit, date_and_rand] : units) {
-    delta_min = std::min(delta_min, date_and_rand.first);
+  Date delta_min = units.front().date;
+  for (const ExposeEntry& entry : units) {
+    delta_min = std::min(delta_min, entry.date);
   }
   if (delta_min < live.min_expose_date) {
     // A late event carries an earlier first-expose date than anything in
@@ -90,16 +106,16 @@ void DeltaBuilder::MergeExpose(
 
   std::vector<std::pair<uint32_t, uint64_t>> offset_pairs;
   std::vector<std::pair<uint32_t, uint64_t>> bucket_pairs;
-  for (const auto& [unit, date_and_rand] : units) {
-    const uint32_t pos = segment->encoder.Encode(unit);
-    const uint64_t offset = date_and_rand.first - live.min_expose_date + 1;
+  for (const ExposeEntry& entry : units) {
+    const uint32_t pos = segment->encoder.Encode(entry.unit);
+    const uint64_t offset = entry.date - live.min_expose_date + 1;
     if (!live.offset.Exists(pos)) {
       offset_pairs.emplace_back(pos, offset);
       if (!bucket_equals_segment_) {
         bucket_pairs.emplace_back(
             pos,
             static_cast<uint64_t>(
-                BucketOf(date_and_rand.second, num_buckets_)) +
+                BucketOf(entry.randomization_unit, num_buckets_)) +
                 1);
       }
     } else if (offset < live.offset.Get(pos)) {
@@ -126,15 +142,24 @@ void DeltaBuilder::MergeInto(ExperimentBsiData* data) {
     if (delta.empty()) continue;
     SegmentBsiData& live = data->segments[static_cast<size_t>(seg)];
 
-    for (const auto& [strategy_id, units] : delta.expose) {
+    for (auto& [strategy_id, units] : delta.expose) {
+      // Earliest first-expose date wins; on a tie the first event does.
+      // The randomization unit rides along with the date (it is a property
+      // of the unit, not the date).
+      FoldByUnit(&units, [](ExposeEntry& kept, const ExposeEntry& next) {
+        if (next.date < kept.date) kept = next;
+      });
       MergeExpose(&live, strategy_id, units);
     }
 
-    for (const auto& [key, units] : delta.metrics) {
+    for (auto& [key, units] : delta.metrics) {
+      FoldByUnit(&units, [](ValueEntry& kept, const ValueEntry& next) {
+        kept.value += next.value;
+      });
       std::vector<std::pair<uint32_t, uint64_t>> pairs;
       pairs.reserve(units.size());
-      for (const auto& [unit, sum] : units) {
-        pairs.emplace_back(live.encoder.Encode(unit), sum);
+      for (const ValueEntry& entry : units) {
+        pairs.emplace_back(live.encoder.Encode(entry.unit), entry.value);
       }
       Bsi value = Bsi::FromPairs(std::move(pairs));
       auto it = live.metrics.find(key);
@@ -149,13 +174,17 @@ void DeltaBuilder::MergeInto(ExperimentBsiData* data) {
       }
     }
 
-    for (const auto& [key, units] : delta.dimensions) {
+    for (auto& [key, units] : delta.dimensions) {
+      // Last write wins (an attribute is a state, not a flow).
+      FoldByUnit(&units, [](ValueEntry& kept, const ValueEntry& next) {
+        kept.value = next.value;
+      });
       auto it = live.dimensions.find(key);
       if (it == live.dimensions.end()) {
         std::vector<std::pair<uint32_t, uint64_t>> pairs;
         pairs.reserve(units.size());
-        for (const auto& [unit, value] : units) {
-          pairs.emplace_back(live.encoder.Encode(unit), value);
+        for (const ValueEntry& entry : units) {
+          pairs.emplace_back(live.encoder.Encode(entry.unit), entry.value);
         }
         DimensionBsi bsi;
         bsi.dimension_id = key.first;
@@ -165,12 +194,12 @@ void DeltaBuilder::MergeInto(ExperimentBsiData* data) {
       } else {
         Bsi& value = it->second.value;
         std::vector<std::pair<uint32_t, uint64_t>> fresh;
-        for (const auto& [unit, v] : units) {
-          const uint32_t pos = live.encoder.Encode(unit);
+        for (const ValueEntry& entry : units) {
+          const uint32_t pos = live.encoder.Encode(entry.unit);
           if (value.Exists(pos)) {
-            value.SetValue(pos, v);  // last write wins
-          } else if (v != 0) {
-            fresh.emplace_back(pos, v);
+            value.SetValue(pos, entry.value);  // last write wins
+          } else if (entry.value != 0) {
+            fresh.emplace_back(pos, entry.value);
           }
         }
         value.MergeAppend(Bsi::FromPairs(std::move(fresh)));

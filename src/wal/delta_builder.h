@@ -47,22 +47,35 @@ class DeltaBuilder {
   void MergeInto(ExperimentBsiData* data);
 
  private:
+  // Per-key accumulators are flat vectors of events in arrival order.
+  // MergeInto stable-sorts each one by unit and folds every unit's events
+  // once (metrics sum, dimensions keep the last write, exposes keep the
+  // earliest date), so an Add is one append and never a tree insert.
+  struct ExposeEntry {
+    UnitId unit;
+    Date date;  // first-expose date
+    UnitId randomization_unit;
+  };
+  struct ValueEntry {
+    UnitId unit;
+    uint64_t value;
+  };
   struct SegmentDelta {
-    // strategy -> unit -> (earliest first-expose date, randomization unit).
-    std::map<uint64_t, std::map<UnitId, std::pair<Date, UnitId>>> expose;
-    // (metric, date) -> unit -> summed value.
-    std::map<std::pair<uint64_t, Date>, std::map<UnitId, uint64_t>> metrics;
-    // (dimension, date) -> unit -> last value.
-    std::map<std::pair<uint32_t, Date>, std::map<UnitId, uint64_t>>
-        dimensions;
+    // strategy -> expose events.
+    std::map<uint64_t, std::vector<ExposeEntry>> expose;
+    // (metric, date) -> metric events.
+    std::map<std::pair<uint64_t, Date>, std::vector<ValueEntry>> metrics;
+    // (dimension, date) -> dimension events.
+    std::map<std::pair<uint32_t, Date>, std::vector<ValueEntry>> dimensions;
 
     bool empty() const {
       return expose.empty() && metrics.empty() && dimensions.empty();
     }
   };
 
+  // `units` is folded: one entry per unit, ascending unit id.
   void MergeExpose(SegmentBsiData* segment, uint64_t strategy_id,
-                   const std::map<UnitId, std::pair<Date, UnitId>>& units);
+                   const std::vector<ExposeEntry>& units);
 
   int num_segments_;
   int num_buckets_;

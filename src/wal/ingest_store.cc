@@ -1,5 +1,7 @@
 #include "wal/ingest_store.h"
 
+#include <chrono>
+
 #include "cluster/adhoc_cluster.h"
 #include "common/byte_io.h"
 #include "common/check.h"
@@ -8,6 +10,30 @@
 
 namespace expbsi {
 namespace {
+
+// Records the wall time since construction, or since the previous Lap, into
+// a stage histogram in microseconds. Under EXPBSI_NO_METRICS it reads no
+// clock and records nothing.
+class StageClock {
+ public:
+  void Lap(obs::Histogram& stage_us) {
+#if !defined(EXPBSI_NO_METRICS)
+    const Clock::time_point now = Clock::now();
+    stage_us.Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(now - last_)
+            .count()));
+    last_ = now;
+#else
+    (void)stage_us;
+#endif
+  }
+
+ private:
+#if !defined(EXPBSI_NO_METRICS)
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point last_ = Clock::now();
+#endif
+};
 
 // [format u32][checkpoint_seq u64][num_segments u32][num_buckets u32]
 // [bucket_equals_segment u8].
@@ -156,12 +182,20 @@ Result<uint64_t> IngestStore::Ingest(const std::vector<WalEvent>& events) {
   // Log first, merge second: the merge runs only for a durably appended
   // record, so the in-memory state never gets ahead of what replay can
   // reconstruct.
+  static obs::Histogram& append_us =
+      obs::GetHistogram("stage.ingest_append_us");
+  static obs::Histogram& build_us = obs::GetHistogram("stage.ingest_build_us");
+  static obs::Histogram& merge_us = obs::GetHistogram("stage.ingest_merge_us");
+  StageClock clock;
   Result<uint64_t> sequence = wal_->Append(events);
   RETURN_IF_ERROR(sequence.status());
+  clock.Lap(append_us);
   DeltaBuilder builder(options_.num_segments, options_.num_buckets,
                        options_.bucket_equals_segment);
   for (const WalEvent& event : events) builder.Add(event);
+  clock.Lap(build_us);
   builder.MergeInto(&live_);
+  clock.Lap(merge_us);
   last_sequence_ = sequence.value();
   span.AddAttr("sequence", last_sequence_);
   return sequence;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -288,6 +289,108 @@ std::vector<OpCase> AllReprPairs() {
 
 INSTANTIATE_TEST_SUITE_P(AllRepresentationPairs, ContainerOpTest,
                          ::testing::ValuesIn(AllReprPairs()));
+
+// OrInPlaceWith against Container::Or on copies, across receiver and delta
+// shapes: the in-place paths (bitmap receiver of an array delta, array
+// append, backward array merge) and the fallbacks, including unions that
+// land exactly on and just past the 4,096 array limit.
+TEST(ContainerTest, OrInPlaceWithMatchesOrAcrossShapes) {
+  auto recount = [](const Container& c) {
+    int n = 0;
+    c.ForEach([&n](uint16_t) { ++n; });
+    return n;
+  };
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    Rng rng(seed);
+    // Receivers stay inside [2000, 60000) so every delta has room below
+    // and above them.
+    auto random_set = [&rng](int count, uint32_t lo, uint32_t hi) {
+      std::set<uint16_t> values;
+      while (static_cast<int>(values.size()) < count) {
+        values.insert(static_cast<uint16_t>(lo + rng.NextBounded(hi - lo)));
+      }
+      return values;
+    };
+    std::set<uint16_t> run_values;
+    for (uint32_t start : {3000u, 20000u, 41000u}) {
+      for (uint32_t v = start; v < start + 1500; ++v) {
+        run_values.insert(static_cast<uint16_t>(v));
+      }
+    }
+    const std::vector<std::pair<const char*, std::set<uint16_t>>> receivers =
+        {{"array", random_set(1400, 2000, 60000)},
+         {"array4090", random_set(4090, 2000, 60000)},
+         {"bitmap", random_set(9000, 2000, 30000)},
+         {"run", run_values}};
+    for (const auto& [receiver_name, receiver_values] : receivers) {
+      Container receiver = FromValues(receiver_values);
+      if (std::string_view(receiver_name) == "run") receiver.RunOptimize();
+      const std::vector<uint16_t> present(receiver_values.begin(),
+                                          receiver_values.end());
+      auto fresh = [&](int count, uint32_t lo, uint32_t hi) {
+        std::set<uint16_t> values;
+        while (static_cast<int>(values.size()) < count) {
+          const auto v =
+              static_cast<uint16_t>(lo + rng.NextBounded(hi - lo));
+          if (receiver_values.count(v) == 0) values.insert(v);
+        }
+        return values;
+      };
+      auto existing = [&](int count) {
+        std::set<uint16_t> values;
+        while (static_cast<int>(values.size()) < count) {
+          values.insert(present[rng.NextBounded(present.size())]);
+        }
+        return values;
+      };
+      auto merged = [](std::set<uint16_t> a, const std::set<uint16_t>& b) {
+        a.insert(b.begin(), b.end());
+        return a;
+      };
+      const uint32_t above = static_cast<uint32_t>(present.back()) + 1;
+      std::vector<std::pair<std::string, Container>> deltas;
+      for (int count : {6, 7, 64}) {
+        const std::string n = std::to_string(count);
+        deltas.emplace_back("above" + n,
+                            FromValues(fresh(count, above, 65536)));
+        deltas.emplace_back("below" + n,
+                            FromValues(fresh(count, 0, present.front())));
+        deltas.emplace_back("interleaved" + n,
+                            FromValues(fresh(count, 0, 65536)));
+      }
+      std::set<uint16_t> from_max = fresh(8, above, 65536);
+      from_max.insert(present.back());
+      deltas.emplace_back("from_max", FromValues(from_max));
+      deltas.emplace_back(
+          "some_duplicates",
+          FromValues(merged(existing(32), fresh(32, 0, 65536))));
+      deltas.emplace_back("all_duplicates", FromValues(existing(64)));
+      deltas.emplace_back("bitmap", FromValues(random_set(5000, 0, 65536)));
+      Container run_delta;
+      run_delta.AddRange(10000, 12000);
+      run_delta.AddRange(50000, 50300);
+      deltas.emplace_back("run", run_delta);
+
+      for (const auto& [delta_name, delta] : deltas) {
+        SCOPED_TRACE(std::string(receiver_name) + " |= " + delta_name +
+                     " seed " + std::to_string(seed));
+        const Container want = Container::Or(receiver, delta);
+        Container got = receiver;
+        got.OrInPlaceWith(delta);
+        // ToArray, not ToSet: an array left unsorted must fail too.
+        EXPECT_EQ(got.ToArray(), want.ToArray());
+        EXPECT_EQ(got.Cardinality(), recount(got));
+        EXPECT_EQ(got.Cardinality(), want.Cardinality());
+        EXPECT_EQ(got.type(), want.type());
+        if (got.type() == ContainerType::kArray) {
+          EXPECT_LE(got.Cardinality(), Container::kArrayMaxCardinality);
+        } else if (got.type() == ContainerType::kBitmap) {
+          EXPECT_GT(got.Cardinality(), Container::kArrayMaxCardinality);
+        }
+      }
+    }
+  }
+}
 
 // Rank/Select consistency on random data across representations.
 class ContainerRankSelectTest : public ::testing::TestWithParam<uint64_t> {};

@@ -35,6 +35,7 @@
 #include "engine/scorecard.h"
 #include "expdata/generator.h"
 #include "expdata/position_encoder.h"
+#include "expdata/segmenter.h"
 #include "reference/ref_data.h"
 #include "reference/ref_engine.h"
 #include "storage/bsi_store.h"
@@ -1256,6 +1257,112 @@ TEST(DeltaBuilderTest, MetricsAddAndDimensionsOverwrite) {
                         /*date=*/2, /*value=*/0));
   builder.MergeInto(&data);
   EXPECT_FALSE(data.segments[0].FindDimension(11, 2)->value.Exists(pos));
+}
+
+// One batch with unit ids out of order and repeated events per unit pins the
+// in-batch fold rules and the order units reach the position encoder:
+// segment, then kind (expose, metric, dimension), then key, then ascending
+// unit id. The batch runs once against a strategy first seen in it (the
+// batch-builder path) and once against a live strategy (the merge path).
+TEST(DeltaBuilderTest, InBatchFoldRulesAndEncodeOrder) {
+  constexpr int kBuckets = 64;
+  // Randomization units in distinct buckets, so the bucket BSI shows which
+  // event's randomization unit a unit kept.
+  std::vector<UnitId> rand;
+  for (UnitId r = 1; rand.size() < 5; ++r) {
+    bool distinct = true;
+    for (const UnitId prev : rand) {
+      distinct = distinct && BucketOf(prev, kBuckets) != BucketOf(r, kBuckets);
+    }
+    if (distinct) rand.push_back(r);
+  }
+  auto bucket = [](UnitId r) {
+    return static_cast<uint64_t>(BucketOf(r, kBuckets)) + 1;
+  };
+  auto expose = [](uint64_t strategy, UnitId unit, Date date, UnitId r) {
+    return MakeEvent(WalEventKind::kExpose, strategy, unit, date, 0, r);
+  };
+  auto metric = [](UnitId unit, uint64_t value) {
+    return MakeEvent(WalEventKind::kMetric, 601, unit, /*date=*/2, value);
+  };
+  auto dimension = [](UnitId unit, uint64_t value) {
+    return MakeEvent(WalEventKind::kDimension, 11, unit, /*date=*/2, value);
+  };
+
+  for (const uint64_t strategy : {77u, 78u}) {
+    SCOPED_TRACE(strategy == 78 ? "live strategy" : "fresh strategy");
+    DeltaBuilder builder(1, kBuckets, false);
+    ExperimentBsiData data = MakeEmptyShaped(1, kBuckets, false);
+    // Priming batch: strategy 78 and dimension (11, 2) go live, and unit
+    // 1000 takes position 0.
+    builder.Add(expose(78, /*unit=*/1000, /*date=*/9, rand[4]));
+    builder.Add(dimension(1000, 8));
+    builder.MergeInto(&data);
+
+    // Unit 30: date 5, then 3 (earlier: wins with rand[1]), then 3 again
+    // (tie: the first event keeps rand[1]), then 4 (later: ignored).
+    // Unit 10: date 7 twice (tie: the first event keeps rand[3]).
+    builder.Add(expose(strategy, 30, 5, rand[0]));
+    builder.Add(expose(strategy, 10, 7, rand[3]));
+    builder.Add(expose(strategy, 30, 3, rand[1]));
+    builder.Add(expose(strategy, 30, 3, rand[2]));
+    builder.Add(expose(strategy, 10, 7, rand[0]));
+    builder.Add(expose(strategy, 30, 4, rand[0]));
+    // Interleaved increments sum.
+    builder.Add(metric(25, 1));
+    builder.Add(metric(5, 10));
+    builder.Add(metric(15, 100));
+    builder.Add(metric(25, 1000));
+    builder.Add(metric(5, 10000));
+    // The last write wins; a last write of 0 leaves no position.
+    builder.Add(dimension(45, 4));
+    builder.Add(dimension(35, 5));
+    builder.Add(dimension(1000, 3));
+    builder.Add(dimension(45, 9));
+    builder.Add(dimension(35, 0));
+    builder.Add(dimension(40, 0));
+    builder.Add(dimension(1000, 0));
+    builder.Add(dimension(40, 6));
+    builder.MergeInto(&data);
+
+    const SegmentBsiData& segment = data.segments[0];
+    const PositionEncoder& encoder = segment.encoder;
+    EXPECT_EQ(encoder.Lookup(1000).value(), 0u);
+    const UnitId encode_order[] = {10, 30, 5, 15, 25, 35, 40, 45};
+    for (uint32_t i = 0; i < 8; ++i) {
+      ASSERT_TRUE(encoder.Lookup(encode_order[i]).has_value());
+      EXPECT_EQ(encoder.Lookup(encode_order[i]).value(), i + 1)
+          << "unit " << encode_order[i];
+    }
+
+    const ExposeBsi* exposed = segment.FindExpose(strategy);
+    ASSERT_NE(exposed, nullptr);
+    EXPECT_EQ(exposed->min_expose_date, 3u);
+    const uint32_t pos10 = encoder.Lookup(10).value();
+    const uint32_t pos30 = encoder.Lookup(30).value();
+    EXPECT_EQ(exposed->offset.Get(pos30), 1u);  // date 3
+    EXPECT_EQ(exposed->offset.Get(pos10), 5u);  // date 7
+    EXPECT_EQ(exposed->bucket.Get(pos30), bucket(rand[1]));
+    EXPECT_EQ(exposed->bucket.Get(pos10), bucket(rand[3]));
+    if (strategy == 78) {
+      EXPECT_EQ(exposed->offset.Get(0), 7u);  // date 9, rebased onto 3
+      EXPECT_EQ(exposed->bucket.Get(0), bucket(rand[4]));
+    }
+
+    const MetricBsi* metrics = segment.FindMetric(601, 2);
+    ASSERT_NE(metrics, nullptr);
+    EXPECT_EQ(metrics->value.Get(encoder.Lookup(25).value()), 1001u);
+    EXPECT_EQ(metrics->value.Get(encoder.Lookup(5).value()), 10010u);
+    EXPECT_EQ(metrics->value.Get(encoder.Lookup(15).value()), 100u);
+
+    const DimensionBsi* dims = segment.FindDimension(11, 2);
+    ASSERT_NE(dims, nullptr);
+    EXPECT_EQ(dims->value.Get(encoder.Lookup(45).value()), 9u);
+    EXPECT_EQ(dims->value.Get(encoder.Lookup(40).value()), 6u);
+    EXPECT_FALSE(dims->value.Exists(encoder.Lookup(35).value()));
+    EXPECT_FALSE(dims->value.Exists(0));  // unit 1000: 8, then 3, then 0
+    EXPECT_EQ(dims->value.Cardinality(), 2u);
+  }
 }
 
 // ---------------------------------------------------------------------------
