@@ -815,11 +815,6 @@ void Container::OrInPlaceWith(const Container& other) {
       cardinality_ + other.cardinality_ <= kArrayMaxCardinality) {
     const size_t n = array_.size();
     const size_t m = other.array_.size();
-    if (other.array_.front() > array_.back()) {
-      array_.insert(array_.end(), other.array_.begin(), other.array_.end());
-      cardinality_ = static_cast<int32_t>(n + m);
-      return;
-    }
     // Merge backwards into the grown tail: the write cursor k never drops
     // below i + j, so it never overwrites a receiver value not yet read,
     // and the merge stops at the delta's minimum, leaving the prefix below

@@ -85,9 +85,8 @@ class Container {
   // OrInPlaceWith costs the delta, not the receiver, on the paths a BSI
   // merge takes: a bitmap receiver of an array delta sets each bit and
   // counts only the bits that were clear; an array receiver of an array
-  // delta whose union still fits in an array appends when the delta lies
-  // above its maximum, and otherwise merges backwards in place, touching
-  // only the values above the delta's minimum.
+  // delta whose union still fits in an array merges backwards in place,
+  // touching only the values above the delta's minimum.
   void OrInPlaceWith(const Container& other);
   void AndInPlaceWith(const Container& other);
   void XorInPlaceWith(const Container& other);

@@ -291,9 +291,10 @@ INSTANTIATE_TEST_SUITE_P(AllRepresentationPairs, ContainerOpTest,
                          ::testing::ValuesIn(AllReprPairs()));
 
 // OrInPlaceWith against Container::Or on copies, across receiver and delta
-// shapes: the in-place paths (bitmap receiver of an array delta, array
-// append, backward array merge) and the fallbacks, including unions that
-// land exactly on and just past the 4,096 array limit.
+// shapes: the in-place paths (bitmap receiver of an array delta, backward
+// array merge, including deltas above the receiver's maximum) and the
+// fallbacks, including unions that land exactly on and just past the 4,096
+// array limit.
 TEST(ContainerTest, OrInPlaceWithMatchesOrAcrossShapes) {
   auto recount = [](const Container& c) {
     int n = 0;

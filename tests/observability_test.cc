@@ -11,7 +11,6 @@
 // so the hammer test runs under TSan.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "bsi/bsi_aggregate.h"
 #include "cluster/adhoc_cluster.h"
 #include "common/fault_injector.h"
-#include "common/file_io.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
@@ -30,8 +28,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
-#include "wal/ingest_store.h"
-#include "wal/wal.h"
 
 namespace expbsi {
 namespace {
@@ -313,53 +309,6 @@ TEST(ObservabilityConcurrencyTest, RegistryHammerFromThreadPoolWorkers) {
 // BENCH_pr5.json / BENCH_pr5_nometrics.json pair; this test pins the
 // in-binary properties that keep that delta small.
 // ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// Stage histograms: IngestStore::Ingest records one sample per stage (WAL
-// append, delta build, delta merge) per successful ingest.
-// ---------------------------------------------------------------------------
-
-TEST(ObservabilityTest, IngestRecordsOneSamplePerStage) {
-  auto fresh_dir = [](const std::string& name) {
-    const std::string dir = ::testing::TempDir() + "expbsi_obs_" + name;
-    EXPECT_TRUE(fileio::CreateDirIfMissing(dir).ok());
-    const Result<std::vector<std::string>> entries = fileio::ListDir(dir);
-    EXPECT_TRUE(entries.ok());
-    for (const std::string& entry : entries.value()) {
-      EXPECT_TRUE(fileio::RemoveFileIfExists(dir + "/" + entry).ok());
-    }
-    return dir;
-  };
-  IngestOptions options;
-  options.num_segments = 2;
-  Result<std::unique_ptr<IngestStore>> store = IngestStore::Open(
-      fresh_dir("ingest_wal"), fresh_dir("ingest_snap"), options);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-
-  obs::Histogram* stages[] = {&GetHistogram("stage.ingest_append_us"),
-                              &GetHistogram("stage.ingest_build_us"),
-                              &GetHistogram("stage.ingest_merge_us")};
-  uint64_t before[3];
-  for (int s = 0; s < 3; ++s) before[s] = stages[s]->Count();
-
-  constexpr int kIngests = 7;
-  for (int i = 0; i < kIngests; ++i) {
-    std::vector<WalEvent> batch(3);
-    for (size_t e = 0; e < batch.size(); ++e) {
-      batch[e].kind = static_cast<WalEventKind>(e);
-      batch[e].id = 600 + e;
-      batch[e].analysis_unit_id = static_cast<UnitId>(i * 10 + e + 1);
-      batch[e].date = 1;
-      batch[e].value = e + 1;
-    }
-    ASSERT_TRUE(store.value()->Ingest(batch).ok());
-  }
-  for (int s = 0; s < 3; ++s) {
-    EXPECT_EQ(stages[s]->Count() - before[s],
-              static_cast<uint64_t>(kIngests))
-        << "stage " << s;
-  }
-}
 
 TEST(MetricsOverheadTest, CounterAddStaysCheap) {
   obs::Counter& c = GetCounter("test.obs.overhead_counter");

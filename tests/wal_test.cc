@@ -36,6 +36,7 @@
 #include "expdata/generator.h"
 #include "expdata/position_encoder.h"
 #include "expdata/segmenter.h"
+#include "obs/metrics.h"
 #include "reference/ref_data.h"
 #include "reference/ref_engine.h"
 #include "storage/bsi_store.h"
@@ -1618,6 +1619,40 @@ TEST(IngestStoreTest, RefusesAWalBehindTheCheckpoint) {
             std::string::npos)
       << reopened.status().ToString();
 }
+
+#if !defined(EXPBSI_NO_METRICS)
+TEST(IngestStoreTest, IngestRecordsOneSamplePerStage) {
+  // Each successful Ingest records one sample per stage: the WAL append,
+  // the delta build and the delta merge.
+  IngestOptions options;
+  options.num_segments = 2;
+  Result<std::unique_ptr<IngestStore>> store = IngestStore::Open(
+      FreshDir("ingest_stage_wal"), FreshDir("ingest_stage_snap"), options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const obs::Histogram* stages[] = {
+      &obs::GetHistogram("stage.ingest_append_us"),
+      &obs::GetHistogram("stage.ingest_build_us"),
+      &obs::GetHistogram("stage.ingest_merge_us")};
+  uint64_t before[3];
+  for (int s = 0; s < 3; ++s) before[s] = stages[s]->Count();
+
+  constexpr int kIngests = 7;
+  for (int i = 0; i < kIngests; ++i) {
+    const UnitId unit = static_cast<UnitId>(i + 1);
+    ASSERT_TRUE(store.value()
+                    ->Ingest({MakeEvent(WalEventKind::kExpose, 901, unit, 1,
+                                        0, unit),
+                              MakeEvent(WalEventKind::kMetric, 601, unit, 1, 3),
+                              MakeEvent(WalEventKind::kDimension, 701, unit, 1,
+                                        2)})
+                    .ok());
+  }
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(stages[s]->Count() - before[s], uint64_t{kIngests})
+        << "stage " << s;
+  }
+}
+#endif  // !EXPBSI_NO_METRICS
 
 // ---------------------------------------------------------------------------
 // Pipeline + cluster wiring
