@@ -62,8 +62,8 @@ int main() {
   // 2. Compound filter, the paper's example: client-type = 1 AND
   //    client-version > 134.
   const std::vector<DimensionPredicate> preds = {
-      {1, DimensionPredicate::Op::kEq, 1},
-      {2, DimensionPredicate::Op::kGt, 134},
+      {1, RangeOp::kEq, 1},
+      {2, RangeOp::kGt, 134},
   };
   const BucketValues treat =
       ComputeStrategyMetricBsiFiltered(bsi, 9002, 555, 0, 6, preds, 0);

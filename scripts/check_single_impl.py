@@ -34,6 +34,12 @@ Rules (RULES below), each with the files allowed to hold the concept:
     AppendGrouped; and the torn-write fault rule (EvaluateWriteFault) is the
     only holder of its torn-prefix constant 0x517cc1b727220a95, which
     appears in exactly one src/ file, src/common/fault_injector.cc.
+  * one range-predicate path -- RangeOp in src/bsi/bsi.h is the only enum
+    of the six comparison ops (an enum whose enumerators are exactly kEq,
+    kNe, kLt, kLe, kGt, kGe), and Bsi::RangeAll is the only range evaluator
+    the EQL executor and the deep dive use (DESIGN.md §4): no file under
+    src/query/ or src/engine/ calls RangeBetween, RangeEq/Ne/Lt/Le/Gt/Ge or
+    the kernels behind them, RangeWord and RangeBetweenWord.
 
 Comments are stripped before matching.
 
@@ -82,6 +88,16 @@ SYNC_HELPER_DEF_RE = re.compile(
 )
 WAL_SECOND_PATH_RE = re.compile(r"\b(?P<name>group_commit|AppendGrouped)\b")
 TORN_PREFIX_RE = re.compile(r"0x517cc1b727220a95", re.I)
+# An enum body of exactly six enumerators drawn from the comparison ops
+# (optionally with initializers); the lexer's TokenType, which also holds
+# other tokens, does not match.
+RANGE_OP = r"k(?:Eq|Ne|Lt|Le|Gt|Ge)\b(?:\s*=\s*[^,{}]*)?"
+RANGE_ENUM_RE = re.compile(
+    r"\benum\b[^{};]*\{\s*(?:" + RANGE_OP + r"\s*,\s*){5}" + RANGE_OP +
+    r"\s*,?\s*\}")
+RANGE_CALL_RE = re.compile(
+    r"\b(?P<name>RangeBetween|Range(?:Eq|Ne|Lt|Le|Gt|Ge)|RangeWord|"
+    r"RangeBetweenWord)\s*\(")
 
 GROUP_BY_FILES = {P("bsi/bsi_group_by.h"), P("bsi/bsi_group_by.cc")}
 FOLD_FILES = GROUP_BY_FILES | {P("engine/experiment_data.cc")}
@@ -188,6 +204,27 @@ RULES = (
             "(common/fault_injector.h) instead",
         ok="durable write lint: EvaluateWriteFault in "
            "src/common/fault_injector.cc is the only torn-write fault rule",
+    ),
+    Rule(
+        anchor=P("bsi/bsi.h"),
+        allowed=lambda rel: rel == P("bsi/bsi.h"),
+        patterns=(
+            (RANGE_ENUM_RE, 0, lambda m: "declares a six-op comparison enum"),
+        ),
+        required=RANGE_ENUM_RE,
+        fix="use RangeOp (bsi/bsi.h)",
+        ok="range-predicate lint: RangeOp in src/bsi/bsi.h is the only "
+           "six-op comparison enum",
+    ),
+    Rule(
+        anchor=P("bsi/bsi.h"),
+        allowed=lambda rel: rel.parts[0] not in ("query", "engine"),
+        patterns=(
+            (RANGE_CALL_RE, "name", lambda m: f"calls {m.group('name')}"),
+        ),
+        fix="evaluate the predicates on one BSI with one Bsi::RangeAll call",
+        ok="range-predicate lint: src/query/ and src/engine/ evaluate ranges "
+           "only through Bsi::RangeAll",
     ),
 )
 

@@ -241,32 +241,88 @@ RoaringBitmap Bsi::Le(const Bsi& x, const Bsi& y) {
 }
 
 RoaringBitmap Bsi::RangeEq(uint64_t k) const {
-  return bsi_compare::RangeWord(*this, bsi_compare::RangeOp::kEq, k);
+  return bsi_compare::RangeWord(*this, RangeOp::kEq, k);
 }
 
 RoaringBitmap Bsi::RangeNe(uint64_t k) const {
-  return bsi_compare::RangeWord(*this, bsi_compare::RangeOp::kNe, k);
+  return bsi_compare::RangeWord(*this, RangeOp::kNe, k);
 }
 
 RoaringBitmap Bsi::RangeLt(uint64_t k) const {
-  return bsi_compare::RangeWord(*this, bsi_compare::RangeOp::kLt, k);
+  return bsi_compare::RangeWord(*this, RangeOp::kLt, k);
 }
 
 RoaringBitmap Bsi::RangeLe(uint64_t k) const {
-  return bsi_compare::RangeWord(*this, bsi_compare::RangeOp::kLe, k);
+  return bsi_compare::RangeWord(*this, RangeOp::kLe, k);
 }
 
 RoaringBitmap Bsi::RangeGt(uint64_t k) const {
-  return bsi_compare::RangeWord(*this, bsi_compare::RangeOp::kGt, k);
+  return bsi_compare::RangeWord(*this, RangeOp::kGt, k);
 }
 
 RoaringBitmap Bsi::RangeGe(uint64_t k) const {
-  return bsi_compare::RangeWord(*this, bsi_compare::RangeOp::kGe, k);
+  return bsi_compare::RangeWord(*this, RangeOp::kGe, k);
 }
 
 RoaringBitmap Bsi::RangeBetween(uint64_t lo, uint64_t hi) const {
   CHECK_LE(lo, hi);
   return bsi_compare::RangeBetweenWord(*this, lo, hi);
+}
+
+RoaringBitmap Bsi::RangeAll(std::span<const RangeTerm> terms) const {
+  // Tightest inclusive bounds, each kept with the term that set it so that
+  // a lone bound runs its own op.
+  const RangeTerm* lower = nullptr;
+  const RangeTerm* upper = nullptr;
+  uint64_t lo = 0, hi = 0;
+  for (const RangeTerm& t : terms) {
+    switch (t.op) {
+      case RangeOp::kGt:
+      case RangeOp::kGe: {
+        if (t.op == RangeOp::kGt && t.k == ~uint64_t{0}) return {};
+        const uint64_t bound = t.op == RangeOp::kGt ? t.k + 1 : t.k;
+        if (lower == nullptr || bound > lo) {
+          lower = &t;
+          lo = bound;
+        }
+        break;
+      }
+      case RangeOp::kLt:
+      case RangeOp::kLe: {
+        if (t.op == RangeOp::kLt && t.k == 0) return {};
+        const uint64_t bound = t.op == RangeOp::kLt ? t.k - 1 : t.k;
+        if (upper == nullptr || bound < hi) {
+          upper = &t;
+          hi = bound;
+        }
+        break;
+      }
+      case RangeOp::kEq:
+      case RangeOp::kNe:
+        break;
+    }
+  }
+  std::optional<RoaringBitmap> out;
+  if (lower != nullptr && upper != nullptr) {
+    static obs::Counter& fusions = obs::GetCounter("query.range_fusions");
+    fusions.Add(1);
+    if (lo > hi) return {};
+    out = RangeBetween(lo, hi);
+  } else if (lower != nullptr || upper != nullptr) {
+    const RangeTerm& bound = lower != nullptr ? *lower : *upper;
+    out = bsi_compare::RangeWord(*this, bound.op, bound.k);
+  }
+  for (const RangeTerm& t : terms) {
+    if (t.op != RangeOp::kEq && t.op != RangeOp::kNe) continue;
+    if (out.has_value() && out->IsEmpty()) break;
+    RoaringBitmap hits = bsi_compare::RangeWord(*this, t.op, t.k);
+    if (out.has_value()) {
+      out->AndInPlace(hits);
+    } else {
+      out = std::move(hits);
+    }
+  }
+  return out.has_value() ? std::move(*out) : existence_;
 }
 
 uint64_t Bsi::Sum() const {

@@ -2,6 +2,7 @@
 #define EXPBSI_BSI_BSI_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -10,6 +11,16 @@
 #include "roaring/roaring_bitmap.h"
 
 namespace expbsi {
+
+// The six comparisons of a range search against a constant: the one op enum
+// of the EQL predicates, the deep-dive dimension filters and the kernels.
+enum class RangeOp { kEq, kNe, kLt, kLe, kGt, kGe };
+
+// One conjunct of Bsi::RangeAll: "value <op> k".
+struct RangeTerm {
+  RangeOp op = RangeOp::kEq;
+  uint64_t k = 0;
+};
 
 // Bit-sliced index (O'Neil & Quass 1997; Rinfret et al. 2001) over Roaring
 // bitmaps: an ordered list of bit-slices B^{s-1}, ..., B^1, B^0 representing a
@@ -121,6 +132,14 @@ class Bsi {
   RoaringBitmap RangeGe(uint64_t k) const;
   // Present positions with lo <= value <= hi.
   RoaringBitmap RangeBetween(uint64_t lo, uint64_t hi) const;
+
+  // Present positions satisfying every term (a conjunction; no terms means
+  // every present position). The tightest lower bound (>=, >) and the
+  // tightest upper bound (<=, <) fuse into one RangeBetween pass (counted by
+  // query.range_fusions); a lone bound keeps its own op, and each = / !=
+  // term is one more range scan ANDed in. "> 2^64-1", "< 0" and inverted
+  // intervals are empty without a scan.
+  RoaringBitmap RangeAll(std::span<const RangeTerm> terms) const;
 
   // --- In-BSI aggregates (single numeric result) ----------------------------
 

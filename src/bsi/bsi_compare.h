@@ -28,10 +28,10 @@ enum class CmpOp { kLt, kLe, kEq, kNe };
 
 RoaringBitmap CompareWord(const Bsi& x, const Bsi& y, CmpOp op);
 
-// Constant comparisons over the present positions of x. k == 0 follows the
-// zero-means-absent semantics of the Bsi::Range* wrappers (e.g. kNe / kGt /
-// kGe return the existence bitmap, everything else is empty).
-enum class RangeOp { kEq, kNe, kLt, kLe, kGt, kGe };
+// Constant comparisons over the present positions of x (RangeOp is declared
+// in bsi.h). k == 0 follows the zero-means-absent semantics of the
+// Bsi::Range* wrappers (e.g. kNe / kGt / kGe return the existence bitmap,
+// everything else is empty).
 
 RoaringBitmap RangeWord(const Bsi& x, RangeOp op, uint64_t k);
 

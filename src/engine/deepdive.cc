@@ -1,110 +1,39 @@
 #include "engine/deepdive.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace expbsi {
 
-namespace {
-
-// Inclusive-bound views of a dimension predicate (the same bound-pair
-// fusion as query/executor.cc): >=/> normalizes to a lower bound, <=/< to
-// an upper bound, so a pair over one dimension becomes one RangeBetween
-// three-way partition scan instead of two range scans + an intersection.
-bool DimLowerBound(const DimensionPredicate& pred, uint64_t* lo) {
-  if (pred.op == DimensionPredicate::Op::kGe) {
-    *lo = pred.value;
-    return true;
-  }
-  if (pred.op == DimensionPredicate::Op::kGt && pred.value != ~uint64_t{0}) {
-    *lo = pred.value + 1;
-    return true;
-  }
-  return false;
-}
-
-bool DimUpperBound(const DimensionPredicate& pred, uint64_t* hi) {
-  if (pred.op == DimensionPredicate::Op::kLe) {
-    *hi = pred.value;
-    return true;
-  }
-  if (pred.op == DimensionPredicate::Op::kLt && pred.value != 0) {
-    *hi = pred.value - 1;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 RoaringBitmap DimensionFilterMask(const SegmentBsiData& segment,
                                   const std::vector<DimensionPredicate>& preds,
                                   Date date) {
   CHECK(!preds.empty());
-  // Pair each one-sided bound with a later complementary bound on the same
-  // dimension; the pair evaluates once, as a Between.
-  std::vector<int> partner(preds.size(), -1);
-  std::vector<char> consumed(preds.size(), 0);
-  for (size_t i = 0; i < preds.size(); ++i) {
-    if (consumed[i]) continue;
-    uint64_t bound;
-    const bool is_lo = DimLowerBound(preds[i], &bound);
-    const bool is_hi = !is_lo && DimUpperBound(preds[i], &bound);
-    if (!is_lo && !is_hi) continue;
-    for (size_t j = i + 1; j < preds.size(); ++j) {
-      if (consumed[j] || preds[j].dimension_id != preds[i].dimension_id) {
-        continue;
-      }
-      if ((is_lo && DimUpperBound(preds[j], &bound)) ||
-          (is_hi && DimLowerBound(preds[j], &bound))) {
-        partner[i] = static_cast<int>(j);
-        consumed[j] = 1;
-        break;
-      }
-    }
-  }
-
   RoaringBitmap mask;
-  bool first = true;
+  std::vector<RangeTerm> terms;
   for (size_t i = 0; i < preds.size(); ++i) {
-    if (consumed[i]) continue;
-    const DimensionPredicate& pred = preds[i];
-    const DimensionBsi* dim =
-        segment.FindDimension(pred.dimension_id, date);
+    const uint32_t dimension_id = preds[i].dimension_id;
+    const auto same_dimension = [dimension_id](const DimensionPredicate& p) {
+      return p.dimension_id == dimension_id;
+    };
+    // Each dimension is filtered once, at its first predicate.
+    if (std::any_of(preds.begin(), preds.begin() + i, same_dimension)) {
+      continue;
+    }
+    const DimensionBsi* dim = segment.FindDimension(dimension_id, date);
     if (dim == nullptr) return RoaringBitmap();  // no data -> nothing passes
-    RoaringBitmap filter;
-    if (partner[i] >= 0) {
-      uint64_t lo = 0, hi = 0;
-      if (!DimLowerBound(pred, &lo)) DimLowerBound(preds[partner[i]], &lo);
-      if (!DimUpperBound(pred, &hi)) DimUpperBound(preds[partner[i]], &hi);
-      // An inverted interval is empty by definition (filter stays empty).
-      if (lo <= hi) filter = dim->value.RangeBetween(lo, hi);
-    } else {
-      switch (pred.op) {
-        case DimensionPredicate::Op::kEq:
-          filter = dim->value.RangeEq(pred.value);
-          break;
-        case DimensionPredicate::Op::kNe:
-          filter = dim->value.RangeNe(pred.value);
-          break;
-        case DimensionPredicate::Op::kLt:
-          filter = dim->value.RangeLt(pred.value);
-          break;
-        case DimensionPredicate::Op::kLe:
-          filter = dim->value.RangeLe(pred.value);
-          break;
-        case DimensionPredicate::Op::kGt:
-          filter = dim->value.RangeGt(pred.value);
-          break;
-        case DimensionPredicate::Op::kGe:
-          filter = dim->value.RangeGe(pred.value);
-          break;
+    terms.clear();
+    for (size_t j = i; j < preds.size(); ++j) {
+      if (same_dimension(preds[j])) {
+        terms.push_back(RangeTerm{preds[j].op, preds[j].value});
       }
     }
-    if (first) {
+    RoaringBitmap filter = dim->value.RangeAll(terms);
+    if (i == 0) {
       mask = std::move(filter);
-      first = false;
     } else {
       mask.AndInPlace(filter);  // mulBSI of binary filters = intersection
     }
@@ -145,7 +74,7 @@ std::vector<DimensionBreakdownEntry> ComputeDimensionBreakdown(
   out.reserve(dim_values.size());
   for (uint64_t value : dim_values) {
     const std::vector<DimensionPredicate> preds = {
-        {dimension_id, DimensionPredicate::Op::kEq, value}};
+        {dimension_id, RangeOp::kEq, value}};
     const BucketValues treat = ComputeStrategyMetricBsiFiltered(
         data, treatment_id, metric_id, date_lo, date_hi, preds, dim_date);
     const BucketValues control = ComputeStrategyMetricBsiFiltered(

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "bsi/bsi.h"
 #include "engine/experiment_data.h"
 #include "engine/scorecard.h"
 
@@ -16,18 +17,17 @@ namespace expbsi {
 // dimension predicates (the paper's "mulBSI(filter)" pipeline, e.g.
 // client-type = 1 AND client-version > 134).
 
-// One predicate on a dimension log.
+// One predicate on a dimension log: "dimension <op> value".
 struct DimensionPredicate {
-  enum class Op { kEq, kNe, kLt, kLe, kGt, kGe };
-
   uint32_t dimension_id = 0;
-  Op op = Op::kEq;
+  RangeOp op = RangeOp::kEq;
   uint64_t value = 0;
 };
 
 // Units of one segment satisfying ALL predicates on `date` (binary filters
 // combined with mulBSI, i.e. intersection). Units missing a dimension value
-// do not satisfy predicates on it.
+// do not satisfy predicates on it. All predicates on one dimension are one
+// Bsi::RangeAll call, the same evaluator as the EQL executor's.
 RoaringBitmap DimensionFilterMask(const SegmentBsiData& segment,
                                   const std::vector<DimensionPredicate>& preds,
                                   Date date);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "bsi/bsi.h"
 #include "expdata/schema.h"
 
 namespace expbsi {
@@ -44,14 +45,12 @@ namespace expbsi {
 //       WHERE exposed(9002, on_or_before = 3)
 //         AND dim(1, date = 3) = 1 AND dim(2, date = 3) > 134
 
-enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
-
 struct QueryPredicate {
   enum class Kind { kValue, kOffset, kDimension, kExposed };
 
   Kind kind = Kind::kValue;
-  CompareOp op = CompareOp::kEq;  // unused for kExposed
-  uint64_t constant = 0;          // comparison constant
+  RangeOp op = RangeOp::kEq;  // unused for kExposed
+  uint64_t constant = 0;      // comparison constant
 
   // kDimension only.
   uint32_t dimension_id = 0;

@@ -12,111 +12,45 @@
 namespace expbsi {
 namespace {
 
-RoaringBitmap ApplyRange(const Bsi& bsi, CompareOp op, uint64_t k) {
-  switch (op) {
-    case CompareOp::kEq:
-      return bsi.RangeEq(k);
-    case CompareOp::kNe:
-      return bsi.RangeNe(k);
-    case CompareOp::kLt:
-      return bsi.RangeLt(k);
-    case CompareOp::kLe:
-      return bsi.RangeLe(k);
-    case CompareOp::kGt:
-      return bsi.RangeGt(k);
-    case CompareOp::kGe:
-      return bsi.RangeGe(k);
-  }
-  return RoaringBitmap();
-}
+// One step of a scan's predicate mask. A range step holds every value,
+// offset or dim(...) predicate on one target BSI -- the query source, or one
+// (dimension_id, dim_date) log -- sits at the target's first predicate, and
+// is evaluated by one Bsi::RangeAll call. An exposed(...) predicate is a
+// step without terms.
+struct ScanStep {
+  const QueryPredicate* pred = nullptr;  // the target's first predicate
+  std::vector<RangeTerm> terms;          // empty for kExposed
+};
 
-// Bound-pair fusion: normalize >=/> predicates to an inclusive lower bound
-// and <=/< ones to an inclusive upper bound. A (lower, upper) pair over the
-// same BSI collapses into one RangeBetween call -- a single three-way
-// partition pass -- instead of two full range scans plus an intersection.
-// The non-normalizable extremes (> UINT64_MAX, < 0) keep the single-
-// predicate path, which returns empty for them anyway.
-bool AsLowerBound(const QueryPredicate& pred, uint64_t* lo) {
-  if (pred.op == CompareOp::kGe) {
-    *lo = pred.constant;
-    return true;
-  }
-  if (pred.op == CompareOp::kGt && pred.constant != ~uint64_t{0}) {
-    *lo = pred.constant + 1;
-    return true;
-  }
-  return false;
-}
-
-bool AsUpperBound(const QueryPredicate& pred, uint64_t* hi) {
-  if (pred.op == CompareOp::kLe) {
-    *hi = pred.constant;
-    return true;
-  }
-  if (pred.op == CompareOp::kLt && pred.constant != 0) {
-    *hi = pred.constant - 1;
-    return true;
-  }
-  return false;
-}
-
-// True when the two predicates scan the same BSI (fusable): value and
-// offset predicates both scan the query source, dimension predicates scan
-// the same dimension log only if id and date agree.
-bool SameRangeTarget(const QueryPredicate& a, const QueryPredicate& b) {
-  if (a.kind == QueryPredicate::Kind::kExposed ||
-      b.kind == QueryPredicate::Kind::kExposed) {
-    return false;
-  }
-  const bool a_source = a.kind != QueryPredicate::Kind::kDimension;
-  const bool b_source = b.kind != QueryPredicate::Kind::kDimension;
-  if (a_source != b_source) return false;
-  if (a_source) return true;
-  return a.dimension_id == b.dimension_id && a.dim_date == b.dim_date;
-}
-
-// partner[i] = j > i when predicates i and j fuse into one Between scan;
-// consumed[j] marks the absorbed upper/lower half.
-void PlanRangeFusion(const std::vector<QueryPredicate>& preds,
-                     std::vector<int>* partner,
-                     std::vector<char>* consumed) {
-  partner->assign(preds.size(), -1);
-  consumed->assign(preds.size(), 0);
-  for (size_t i = 0; i < preds.size(); ++i) {
-    if ((*consumed)[i] ||
-        preds[i].kind == QueryPredicate::Kind::kExposed) {
-      continue;
-    }
-    uint64_t bound;
-    const bool is_lo = AsLowerBound(preds[i], &bound);
-    const bool is_hi = !is_lo && AsUpperBound(preds[i], &bound);
-    if (!is_lo && !is_hi) continue;
-    for (size_t j = i + 1; j < preds.size(); ++j) {
-      if ((*consumed)[j] || !SameRangeTarget(preds[i], preds[j])) continue;
-      if ((is_lo && AsUpperBound(preds[j], &bound)) ||
-          (is_hi && AsLowerBound(preds[j], &bound))) {
-        (*partner)[i] = static_cast<int>(j);
-        (*consumed)[j] = 1;
-        break;
+// Groups the predicates into steps once per query; every (segment, day)
+// scan replays the same plan.
+std::vector<ScanStep> PlanScanSteps(const Query& query) {
+  std::vector<ScanStep> steps;
+  for (const QueryPredicate& pred : query.predicates) {
+    const bool on_dim = pred.kind == QueryPredicate::Kind::kDimension;
+    if (pred.kind != QueryPredicate::Kind::kExposed) {
+      // Value and offset predicates both scan the source.
+      auto same_target = std::find_if(
+          steps.begin(), steps.end(), [&](const ScanStep& step) {
+            const QueryPredicate& first = *step.pred;
+            if (step.terms.empty()) return false;  // an exposed(...) step
+            if (!on_dim) return first.kind != QueryPredicate::Kind::kDimension;
+            return first.kind == QueryPredicate::Kind::kDimension &&
+                   first.dimension_id == pred.dimension_id &&
+                   first.dim_date == pred.dim_date;
+          });
+      if (same_target != steps.end()) {
+        same_target->terms.push_back(RangeTerm{pred.op, pred.constant});
+        continue;
       }
     }
+    ScanStep& step = steps.emplace_back();
+    step.pred = &pred;
+    if (pred.kind != QueryPredicate::Kind::kExposed) {
+      step.terms.push_back(RangeTerm{pred.op, pred.constant});
+    }
   }
-}
-
-// Applies predicate i (optionally fused with its partner) to `bsi`. An
-// inverted fused interval (lo > hi) is empty by definition.
-RoaringBitmap ApplyPredicate(const Bsi& bsi, const QueryPredicate& pred,
-                             const QueryPredicate* fused_with) {
-  if (fused_with != nullptr) {
-    static obs::Counter& fusions = obs::GetCounter("query.range_fusions");
-    fusions.Add(1);
-    uint64_t lo = 0, hi = 0;
-    if (!AsLowerBound(pred, &lo)) AsLowerBound(*fused_with, &lo);
-    if (!AsUpperBound(pred, &hi)) AsUpperBound(*fused_with, &hi);
-    if (lo > hi) return RoaringBitmap();
-    return bsi.RangeBetween(lo, hi);
-  }
-  return ApplyRange(bsi, pred.op, pred.constant);
+  return steps;
 }
 
 bool HasAggregate(const Query& query, QueryAggregate::Func func) {
@@ -173,7 +107,7 @@ Status Validate(const ExperimentBsiData& data, const Query& query) {
 // Builds the source pointer and combined predicate mask for one segment on
 // one scan day. Returns an empty-source scan when the segment has no data.
 SegmentScan BuildScan(const SegmentBsiData& seg, const Query& query,
-                      Date scan_date) {
+                      const std::vector<ScanStep>& steps, Date scan_date) {
   SegmentScan scan;
   if (query.source == Query::Source::kMetric) {
     const MetricBsi* metric = seg.FindMetric(query.source_id, scan_date);
@@ -190,23 +124,15 @@ SegmentScan BuildScan(const SegmentBsiData& seg, const Query& query,
     scan.source = &source_expose->offset;
   }
   scan.mask = scan.source->existence();
-  const std::vector<QueryPredicate>& preds = query.predicates;
-  std::vector<int> partner;
-  std::vector<char> consumed;
-  PlanRangeFusion(preds, &partner, &consumed);
-  for (size_t i = 0; i < preds.size(); ++i) {
+  for (const ScanStep& step : steps) {
     if (scan.mask.IsEmpty()) break;
-    if (consumed[i]) continue;  // absorbed into an earlier Between scan
-    const QueryPredicate& pred = preds[i];
-    const QueryPredicate* fused_with =
-        partner[i] >= 0 ? &preds[partner[i]] : nullptr;
+    const QueryPredicate& pred = *step.pred;
     switch (pred.kind) {
       case QueryPredicate::Kind::kValue:
-        scan.mask.AndInPlace(ApplyPredicate(*scan.source, pred, fused_with));
-        break;
       case QueryPredicate::Kind::kOffset:
-        // Validated: only on expose sources, where source == offset.
-        scan.mask.AndInPlace(ApplyPredicate(*scan.source, pred, fused_with));
+        // Validated: offset predicates only on expose sources, where
+        // source == offset.
+        scan.mask.AndInPlace(scan.source->RangeAll(step.terms));
         break;
       case QueryPredicate::Kind::kDimension: {
         const DimensionBsi* dim =
@@ -215,7 +141,7 @@ SegmentScan BuildScan(const SegmentBsiData& seg, const Query& query,
           scan.mask.Clear();
           break;
         }
-        scan.mask.AndInPlace(ApplyPredicate(dim->value, pred, fused_with));
+        scan.mask.AndInPlace(dim->value.RangeAll(step.terms));
         break;
       }
       case QueryPredicate::Kind::kExposed: {
@@ -286,6 +212,7 @@ Result<QueryResult> ExecuteQuery(const ExperimentBsiData& data,
   }
 
   // One scan per (segment, day); aggregates fold the partials.
+  const std::vector<ScanStep> steps = PlanScanSteps(query);
   std::vector<std::vector<SegmentScan>> scans(data.num_segments);
   {
     obs::ScopedSpan span("build_scans");
@@ -294,7 +221,7 @@ Result<QueryResult> ExecuteQuery(const ExperimentBsiData& data,
     for (int seg = 0; seg < data.num_segments; ++seg) {
       scans[seg].reserve(days.size());
       for (Date d : days) {
-        scans[seg].push_back(BuildScan(data.segments[seg], query, d));
+        scans[seg].push_back(BuildScan(data.segments[seg], query, steps, d));
       }
     }
   }

@@ -11,11 +11,12 @@
 namespace expbsi {
 
 // Executes a parsed EQL query against the BSI data: per segment, the WHERE
-// predicates become bitmap masks (range searches / expose filters /
-// dimension filters), aggregates fold the source BSI under the combined
-// mask, and segment partials merge into the result. Median/quantile merge
-// exactly via the cross-input slice descent (non-decomposable aggregates,
-// §4.2), not by approximation.
+// predicates become bitmap masks -- expose filters, and one Bsi::RangeAll
+// call per range target (the source BSI, or one dim(id, date) log) holding
+// every value / offset / dim predicate on it -- aggregates fold the source
+// BSI under the combined mask, and segment partials merge into the result.
+// Median/quantile merge exactly via the cross-input slice descent
+// (non-decomposable aggregates, §4.2), not by approximation.
 //
 // Validation errors (unknown constructs for the source, unsupported grouped
 // aggregates) return InvalidArgument. Missing data (unknown metric-id,

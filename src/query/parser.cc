@@ -1,6 +1,9 @@
 #include "query/parser.h"
 
-#include <cmath>
+#include <charconv>
+#include <limits>
+#include <system_error>
+#include <type_traits>
 
 #include "query/token.h"
 
@@ -65,19 +68,26 @@ class Parser {
     return Status::OK();
   }
 
-  Status ParseNumber(double* out) {
+  // Converts the number literal at the cursor with std::from_chars, which
+  // is exact for integers and never throws; errors point at the literal.
+  template <typename T>
+  Status ParseNumber(T* out) {
     if (Peek().type != TokenType::kNumber) return Error("expected number");
-    *out = Advance().number;
-    return Status::OK();
-  }
-
-  Status ParseU64(uint64_t* out) {
-    double v = 0;
-    RETURN_IF_ERROR(ParseNumber(&v));
-    if (v < 0 || v != std::floor(v)) {
-      return Error("expected non-negative integer");
+    const std::string& text = Peek().text;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    if (ec == std::errc::result_out_of_range) {
+      if constexpr (std::is_integral_v<T>) {
+        return Error("integer out of range (max " +
+                     std::to_string(std::numeric_limits<T>::max()) + ")");
+      }
+      return Error("number out of range");
     }
-    *out = static_cast<uint64_t>(v);
+    if (ec != std::errc() || ptr != end) {
+      return Error(std::is_integral_v<T> ? "expected non-negative integer"
+                                         : "malformed number");
+    }
+    Advance();
     return Status::OK();
   }
 
@@ -85,10 +95,7 @@ class Parser {
   Status ParseDateArg(Date* out) {
     RETURN_IF_ERROR(ExpectKeyword("date"));
     RETURN_IF_ERROR(Expect(TokenType::kEq, "'='"));
-    uint64_t v = 0;
-    RETURN_IF_ERROR(ParseU64(&v));
-    *out = static_cast<Date>(v);
-    return Status::OK();
+    return ParseNumber(out);
   }
 
   Status ParseAggregates(Query* query) {
@@ -150,7 +157,13 @@ class Parser {
   // Shared tail of dated sources: '(' id ',' date = n [, to = n] ')'.
   Status ParseDatedSourceArgs(Query* query) {
     RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
-    RETURN_IF_ERROR(ParseU64(&query->source_id));
+    if (query->source == Query::Source::kDimension) {
+      uint32_t dimension_id = 0;  // dimension ids are 32-bit
+      RETURN_IF_ERROR(ParseNumber(&dimension_id));
+      query->source_id = dimension_id;
+    } else {
+      RETURN_IF_ERROR(ParseNumber(&query->source_id));
+    }
     RETURN_IF_ERROR(Expect(TokenType::kComma, "','"));
     RETURN_IF_ERROR(ParseDateArg(&query->date));
     query->date_to = query->date;
@@ -158,9 +171,7 @@ class Parser {
       Advance();
       RETURN_IF_ERROR(ExpectKeyword("to"));
       RETURN_IF_ERROR(Expect(TokenType::kEq, "'='"));
-      uint64_t to = 0;
-      RETURN_IF_ERROR(ParseU64(&to));
-      query->date_to = static_cast<Date>(to);
+      RETURN_IF_ERROR(ParseNumber(&query->date_to));
       if (query->date_to < query->date) {
         return Error("date range end precedes start");
       }
@@ -180,32 +191,32 @@ class Parser {
     if (AcceptKeyword("expose")) {
       query->source = Query::Source::kExpose;
       RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
-      RETURN_IF_ERROR(ParseU64(&query->source_id));
+      RETURN_IF_ERROR(ParseNumber(&query->source_id));
       RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
       return Status::OK();
     }
     return Error("expected source: metric(...), dim(...) or expose(...)");
   }
 
-  Status ParseCompareOp(CompareOp* out) {
+  Status ParseCompareOp(RangeOp* out) {
     switch (Peek().type) {
       case TokenType::kEq:
-        *out = CompareOp::kEq;
+        *out = RangeOp::kEq;
         break;
       case TokenType::kNe:
-        *out = CompareOp::kNe;
+        *out = RangeOp::kNe;
         break;
       case TokenType::kLt:
-        *out = CompareOp::kLt;
+        *out = RangeOp::kLt;
         break;
       case TokenType::kLe:
-        *out = CompareOp::kLe;
+        *out = RangeOp::kLe;
         break;
       case TokenType::kGt:
-        *out = CompareOp::kGt;
+        *out = RangeOp::kGt;
         break;
       case TokenType::kGe:
-        *out = CompareOp::kGe;
+        *out = RangeOp::kGe;
         break;
       default:
         return Error("expected comparison operator");
@@ -219,14 +230,12 @@ class Parser {
     if (AcceptKeyword("exposed")) {
       pred.kind = QueryPredicate::Kind::kExposed;
       RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
-      RETURN_IF_ERROR(ParseU64(&pred.strategy_id));
+      RETURN_IF_ERROR(ParseNumber(&pred.strategy_id));
       if (Peek().type == TokenType::kComma) {
         Advance();
         RETURN_IF_ERROR(ExpectKeyword("on_or_before"));
         RETURN_IF_ERROR(Expect(TokenType::kEq, "'='"));
-        uint64_t date = 0;
-        RETURN_IF_ERROR(ParseU64(&date));
-        pred.on_or_before = static_cast<Date>(date);
+        RETURN_IF_ERROR(ParseNumber(&pred.on_or_before));
       } else {
         pred.per_scan_day = true;  // the scorecard's per-day expose filter
       }
@@ -234,22 +243,20 @@ class Parser {
     } else if (AcceptKeyword("value")) {
       pred.kind = QueryPredicate::Kind::kValue;
       RETURN_IF_ERROR(ParseCompareOp(&pred.op));
-      RETURN_IF_ERROR(ParseU64(&pred.constant));
+      RETURN_IF_ERROR(ParseNumber(&pred.constant));
     } else if (AcceptKeyword("offset")) {
       pred.kind = QueryPredicate::Kind::kOffset;
       RETURN_IF_ERROR(ParseCompareOp(&pred.op));
-      RETURN_IF_ERROR(ParseU64(&pred.constant));
+      RETURN_IF_ERROR(ParseNumber(&pred.constant));
     } else if (AcceptKeyword("dim")) {
       pred.kind = QueryPredicate::Kind::kDimension;
       RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
-      uint64_t dim_id = 0;
-      RETURN_IF_ERROR(ParseU64(&dim_id));
-      pred.dimension_id = static_cast<uint32_t>(dim_id);
+      RETURN_IF_ERROR(ParseNumber(&pred.dimension_id));
       RETURN_IF_ERROR(Expect(TokenType::kComma, "','"));
       RETURN_IF_ERROR(ParseDateArg(&pred.dim_date));
       RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
       RETURN_IF_ERROR(ParseCompareOp(&pred.op));
-      RETURN_IF_ERROR(ParseU64(&pred.constant));
+      RETURN_IF_ERROR(ParseNumber(&pred.constant));
     } else {
       return Error("expected predicate: exposed/value/offset/dim");
     }

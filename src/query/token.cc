@@ -30,7 +30,7 @@ Result<std::vector<Token>> Tokenize(const std::string& query) {
         ++end;
       }
       token.type = TokenType::kNumber;
-      token.number = std::stod(query.substr(i, end - i));
+      token.text = query.substr(i, end - i);
       i = end;
     } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       size_t end = i;

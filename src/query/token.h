@@ -15,7 +15,7 @@ namespace expbsi {
 
 enum class TokenType {
   kIdentifier,  // select, sum, value, metric, ... (case-insensitive keywords)
-  kNumber,      // 8371, 0.9
+  kNumber,      // 8371, 0.9 (also malformed runs like 1.2.3)
   kComma,
   kLParen,
   kRParen,
@@ -31,9 +31,10 @@ enum class TokenType {
 
 struct Token {
   TokenType type = TokenType::kEnd;
-  std::string text;     // identifier text, lower-cased
-  double number = 0.0;  // for kNumber
-  int position = 0;     // byte offset in the query (for error messages)
+  // Identifier text, lower-cased; a number's literal as written (digits and
+  // dots), which the parser converts exactly.
+  std::string text;
+  int position = 0;  // byte offset in the query (for error messages)
 };
 
 // Splits `query` into tokens. Identifiers may contain '-' and '_'

@@ -78,22 +78,22 @@ bool PassesDimensionFilter(const RefSegment& segment,
     const uint64_t v = it->second;
     bool holds = false;
     switch (pred.op) {
-      case DimensionPredicate::Op::kEq:
+      case RangeOp::kEq:
         holds = v == pred.value;
         break;
-      case DimensionPredicate::Op::kNe:
+      case RangeOp::kNe:
         holds = v != pred.value;
         break;
-      case DimensionPredicate::Op::kLt:
+      case RangeOp::kLt:
         holds = v < pred.value;
         break;
-      case DimensionPredicate::Op::kLe:
+      case RangeOp::kLe:
         holds = v <= pred.value;
         break;
-      case DimensionPredicate::Op::kGt:
+      case RangeOp::kGt:
         holds = v > pred.value;
         break;
-      case DimensionPredicate::Op::kGe:
+      case RangeOp::kGe:
         holds = v >= pred.value;
         break;
     }
@@ -340,7 +340,7 @@ std::vector<DimensionBreakdownEntry> RefComputeDimensionBreakdown(
   out.reserve(dim_values.size());
   for (uint64_t value : dim_values) {
     const std::vector<DimensionPredicate> preds = {
-        {dimension_id, DimensionPredicate::Op::kEq, value}};
+        {dimension_id, RangeOp::kEq, value}};
     const BucketValues treat = RefComputeStrategyMetricFiltered(
         data, treatment_id, metric_id, date_lo, date_hi, preds, dim_date);
     const BucketValues control = RefComputeStrategyMetricFiltered(

@@ -12,19 +12,19 @@
 namespace expbsi {
 namespace {
 
-bool CompareHolds(uint64_t v, CompareOp op, uint64_t k) {
+bool CompareHolds(uint64_t v, RangeOp op, uint64_t k) {
   switch (op) {
-    case CompareOp::kEq:
+    case RangeOp::kEq:
       return v == k;
-    case CompareOp::kNe:
+    case RangeOp::kNe:
       return v != k;
-    case CompareOp::kLt:
+    case RangeOp::kLt:
       return v < k;
-    case CompareOp::kLe:
+    case RangeOp::kLe:
       return v <= k;
-    case CompareOp::kGt:
+    case RangeOp::kGt:
       return v > k;
-    case CompareOp::kGe:
+    case RangeOp::kGe:
       return v >= k;
   }
   return false;

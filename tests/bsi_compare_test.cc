@@ -8,6 +8,8 @@
 #include "bsi/bsi_compare.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
+#include "tests/property_gen.h"
 #include "tests/support/pairwise_kernels.h"
 #include "tests/test_util.h"
 
@@ -192,6 +194,60 @@ TEST(BsiRangeEdge, BetweenDegenerateBounds) {
   // Full-range bounds select everything present.
   EXPECT_EQ(ToSet(bsi.RangeBetween(0, ~uint64_t{0})),
             (std::set<uint32_t>{1, 2, 3}));
+}
+
+// Bsi::RangeAll against the scalar conjunction of its terms: random lists of
+// zero to five terms over boundary constants, so several bounds of one side,
+// inverted intervals, "> 2^64-1" and "< 0" all occur, on columns up to 64
+// slices wide. A lower and an upper bound fuse into one counted Between pass
+// unless a term already makes the result empty.
+TEST(BsiRangeAll, MatchesScalarConjunction) {
+  Rng rng(61);
+  const uint64_t max_values[] = {1, 16, 1000, uint64_t{1} << 40,
+                                 ~uint64_t{0}};
+  for (int round = 0; round < 60; ++round) {
+    const ValueMap values =
+        RandomValueMap(rng, static_cast<int>(1 + rng.NextBounded(3000)),
+                       70000, max_values[round % 5]);
+    const Bsi bsi = Bsi::FromPairs(ToPairVector(values));
+    const std::vector<uint64_t> ks =
+        propgen::GenBoundaryConstants(rng, ToPairVector(values));
+    std::vector<RangeTerm> terms(rng.NextBounded(6));
+    bool lower = false, upper = false, impossible = false;
+    for (RangeTerm& t : terms) {
+      t.op = static_cast<RangeOp>(rng.NextBounded(6));
+      t.k = ks[rng.NextBounded(ks.size())];
+      lower |= t.op == RangeOp::kGt || t.op == RangeOp::kGe;
+      upper |= t.op == RangeOp::kLt || t.op == RangeOp::kLe;
+      impossible |= (t.op == RangeOp::kGt && t.k == ~uint64_t{0}) ||
+                    (t.op == RangeOp::kLt && t.k == 0);
+    }
+    std::set<uint32_t> want;
+    for (const auto& [pos, v] : values) {
+      bool holds = true;
+      for (const RangeTerm& t : terms) {
+        switch (t.op) {
+          case RangeOp::kEq: holds &= v == t.k; break;
+          case RangeOp::kNe: holds &= v != t.k; break;
+          case RangeOp::kLt: holds &= v < t.k; break;
+          case RangeOp::kLe: holds &= v <= t.k; break;
+          case RangeOp::kGt: holds &= v > t.k; break;
+          case RangeOp::kGe: holds &= v >= t.k; break;
+        }
+      }
+      if (holds) want.insert(pos);
+    }
+#if !defined(EXPBSI_NO_METRICS)
+    obs::Counter& fusions = obs::GetCounter("query.range_fusions");
+    const uint64_t fusions_before = fusions.Value();
+#endif
+    EXPECT_EQ(ToSet(bsi.RangeAll(terms)), want) << "round " << round;
+#if !defined(EXPBSI_NO_METRICS)
+    EXPECT_EQ(fusions.Value() - fusions_before,
+              lower && upper && !impossible ? 1u : 0u)
+        << "round " << round;
+#endif
+  }
 }
 
 // One side a dense block (bitset containers), the other a sparse scatter

@@ -53,7 +53,6 @@ namespace expbsi {
 namespace {
 
 using bsi_compare::CmpOp;
-using bsi_compare::RangeOp;
 using propgen::ColumnShape;
 using propgen::FuzzDataset;
 
@@ -869,11 +868,11 @@ void RunEngineIteration(uint64_t seed) {
   {
     std::vector<DimensionPredicate> preds;
     preds.push_back({propgen::kFuzzDimension,
-                     DimensionPredicate::Op::kLe,
+                     RangeOp::kLe,
                      1 + rng.NextBounded(4)});
     if (rng.NextBernoulli(0.5)) {
       preds.push_back({propgen::kFuzzDimension2,
-                       DimensionPredicate::Op::kNe,
+                       RangeOp::kNe,
                        1 + rng.NextBounded(3)});
     }
     if (rng.NextBernoulli(0.5)) {
@@ -881,8 +880,8 @@ void RunEngineIteration(uint64_t seed) {
       // engine fuses the pair into one RangeBetween scan (possibly an
       // inverted, empty interval), the oracle applies them one by one.
       preds.push_back({propgen::kFuzzDimension,
-                       rng.NextBernoulli(0.5) ? DimensionPredicate::Op::kGe
-                                              : DimensionPredicate::Op::kGt,
+                       rng.NextBernoulli(0.5) ? RangeOp::kGe
+                                              : RangeOp::kGt,
                        1 + rng.NextBounded(4)});
     }
     const Date dim_date = lo + static_cast<Date>(
@@ -1094,6 +1093,123 @@ TEST(DifferentialTest, QueriesMatchScalarOracle) {
   for (const uint64_t seed : SeedSchedule(/*base=*/0x5ca1ab1eull, 120)) {
     RunQueryIteration(seed);
     if (HasFatalFailure()) return;
+  }
+}
+
+// Fixed EQL texts at the edges of Bsi::RangeAll's bound fusion, run through
+// the executor and the scalar oracle (which evaluates every predicate on its
+// own): three and more bounds on one target, bounds on different dim dates
+// that must not fuse, the 0 / 2^64-1 extremes, inverted intervals, and = /
+// != terms mixed with bounds. The last block is the deep-dive filter with
+// three bounds on one dimension.
+TEST(DifferentialTest, RangeEdgeCasesMatchScalarOracle) {
+  DatasetConfig config;
+  config.num_users = 600;
+  config.num_segments = 3;
+  config.bucket_equals_segment = false;
+  config.num_buckets = 8;
+  config.num_days = 4;
+  config.seed = 0x7a9e;
+  ExperimentConfig experiment;
+  experiment.strategy_ids = {propgen::kFuzzControlStrategy,
+                             propgen::kFuzzTreatmentStrategy};
+  experiment.arm_effects = {1.0, 1.1};
+  MetricConfig metric;
+  metric.metric_id = propgen::kFuzzMetricA;
+  metric.value_range = 1000;
+  metric.daily_participation = 0.6;
+  DimensionConfig dim;
+  dim.dimension_id = propgen::kFuzzDimension;
+  dim.cardinality = 6;
+  DimensionConfig dim2;
+  dim2.dimension_id = propgen::kFuzzDimension2;
+  dim2.cardinality = 4;
+  const Dataset dataset =
+      GenerateDataset(config, {experiment}, {metric}, {dim, dim2});
+  const ExperimentBsiData bsi = BuildExperimentBsiData(dataset, true);
+  const RefExperimentData ref = BuildRefExperimentData(dataset);
+
+  const std::string aggs =
+      "SELECT sum(value), count(*), min(value), max(value), uv(value) ";
+  const std::string week = "FROM metric(501, date = 0, to = 3) WHERE ";
+  const std::string d7 = "dim(7, date = 1) ";
+  const std::string texts[] = {
+      // Three and four bounds on the source.
+      aggs + week + "value >= 3 AND value <= 800 AND value > 10",
+      aggs + week + "value > 5 AND value < 900 AND value >= 20 AND "
+                    "value <= 500",
+      aggs + week + "value <= 700 AND value < 650 AND value >= 2",
+      // Three bounds on one dimension log, and bounds that must not fuse:
+      // the same dimension on two dates, two dimensions on one date.
+      aggs + week + d7 + ">= 2 AND " + d7 + "<= 4 AND " + d7 + "> 2",
+      aggs + week + d7 + ">= 3 AND dim(7, date = 2) <= 3",
+      aggs + week + d7 + ">= 2 AND dim(8, date = 1) <= 2",
+      aggs + week + "value >= 50 AND " + d7 + "<= 3 AND value <= 400 AND " +
+          d7 + ">= 2",
+      aggs + week + d7 + "<= 4 AND value >= 30 AND value < 600",
+      // Extremes.
+      aggs + week + "value >= 0",
+      aggs + week + "value < 0",
+      aggs + week + "value <= 0",
+      aggs + week + "value > 0",
+      aggs + week + "value > 18446744073709551615",
+      aggs + week + "value >= 18446744073709551615",
+      aggs + week + "value <= 18446744073709551615",
+      aggs + week + "value != 18446744073709551615",
+      aggs + week + "value >= 0 AND value <= 18446744073709551615",
+      aggs + week + "value > 18446744073709551615 AND value >= 1",
+      aggs + week + "value < 0 AND value <= 100",
+      // Inverted intervals, including the one-apart pair lo = hi + 1.
+      aggs + week + "value >= 500 AND value <= 100",
+      aggs + week + "value > 10 AND value < 11",
+      aggs + week + d7 + "> 3 AND " + d7 + "< 3",
+      // = and != mixed with bounds.
+      aggs + week + "value >= 2 AND value != 5 AND value <= 40 AND "
+                    "value != 7",
+      aggs + week + "value = 7 AND value >= 2 AND value <= 40",
+      aggs + week + d7 + "!= 2 AND " + d7 + ">= 1 AND " + d7 + "= 3",
+      aggs + week + "value = 0",
+      aggs + week + "value != 0 AND value < 3",
+      // Exposed filters interleaved with the bounds, grouped and not.
+      "SELECT sum(value), count(*) FROM metric(501, date = 1) WHERE "
+      "exposed(9101) AND value > 2 AND value <= 300 AND value >= 4 "
+      "GROUP BY BUCKET",
+      "SELECT median(value), quantile(value, 0.9) " + week +
+          "value >= 3 AND exposed(9100) AND value < 200 AND " + d7 + "<= 4",
+      // Value and offset predicates share the expose source.
+      "SELECT count(*), sum(value) FROM expose(9101) WHERE offset >= 1 AND "
+      "value <= 2 AND offset < 3",
+      "SELECT count(*), sum(value) FROM dim(7, date = 1) WHERE value >= 2 "
+      "AND value <= 5 AND " + d7 + "!= 3 AND value > 2",
+  };
+  int nonempty = 0;
+  for (const std::string& text : texts) {
+    const Result<QueryResult> got = RunQuery(bsi, text);
+    const Result<QueryResult> want = RefRunQuery(ref, text);
+    ASSERT_TRUE(got.ok()) << text << ": " << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << text << ": " << want.status().ToString();
+    EXPECT_EQ(got.value().columns, want.value().columns) << text;
+    EXPECT_EQ(got.value().row, want.value().row) << text;
+    EXPECT_EQ(got.value().per_bucket, want.value().per_bucket) << text;
+    nonempty += got.value().row[0] != 0.0 ? 1 : 0;
+  }
+  // Most texts select something, so the comparison is not of empty sets.
+  EXPECT_GE(nonempty, 18);
+
+  const std::vector<DimensionPredicate> preds = {
+      {propgen::kFuzzDimension, RangeOp::kGe, 2},
+      {propgen::kFuzzDimension2, RangeOp::kNe, 1},
+      {propgen::kFuzzDimension, RangeOp::kLe, 5},
+      {propgen::kFuzzDimension, RangeOp::kGt, 2}};
+  for (const Date dim_date : {Date{0}, Date{2}}) {
+    ExpectBucketsBitEqual(
+        ComputeStrategyMetricBsiFiltered(bsi, propgen::kFuzzTreatmentStrategy,
+                                         propgen::kFuzzMetricA, 0, 3, preds,
+                                         dim_date),
+        RefComputeStrategyMetricFiltered(ref, propgen::kFuzzTreatmentStrategy,
+                                         propgen::kFuzzMetricA, 0, 3, preds,
+                                         dim_date),
+        "three-bound deep dive on day " + std::to_string(dim_date));
   }
 }
 

@@ -327,8 +327,8 @@ TEST_F(EngineTest, CupedReducesVarianceOnCorrelatedMetric) {
 TEST_F(EngineTest, DimensionFilterMatchesBruteForce) {
   // client-type = 1 AND client-version > 134, the paper's example (§4.4).
   const std::vector<DimensionPredicate> preds = {
-      {1, DimensionPredicate::Op::kEq, 1},
-      {2, DimensionPredicate::Op::kGt, 134},
+      {1, RangeOp::kEq, 1},
+      {2, RangeOp::kGt, 134},
   };
   const Date dim_date = kStart;
   // Brute force filtered sums.
@@ -397,7 +397,7 @@ TEST_F(EngineTest, DailyBreakdownSumsToWindow) {
 
 TEST_F(EngineTest, FilteredWithNoMatchingDimensionDataIsEmpty) {
   const std::vector<DimensionPredicate> preds = {
-      {99, DimensionPredicate::Op::kEq, 1}};  // unknown dimension
+      {99, RangeOp::kEq, 1}};  // unknown dimension
   const BucketValues got = ComputeStrategyMetricBsiFiltered(
       *bsi_, 502, 8371, kStart, kEnd, preds, kStart);
   EXPECT_EQ(got.total_sum(), 0.0);

@@ -3,13 +3,16 @@
 // error messages (the differential oracle relies on these strings staying
 // in sync with src/reference/ref_query.cc, so they are pinned here).
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/experiment_data.h"
 #include "expdata/generator.h"
 #include "query/executor.h"
+#include "query/parser.h"
 #include "reference/ref_data.h"
 #include "reference/ref_query.h"
 
@@ -128,6 +131,61 @@ TEST_F(QueryErrorTest, ParseErrorsSurfaceWithOffsets) {
   const Result<QueryResult> ref_err = RefRunQuery(ref_, "SELEC sum(value)");
   ASSERT_FALSE(ref_err.ok());
   EXPECT_EQ(ref_err.status().message(), garbage.status().message());
+}
+
+TEST_F(QueryErrorTest, IntegerLiteralsParseExactly) {
+  const std::string where = "SELECT count(*) FROM metric(5, date = 0) WHERE ";
+  const auto constant = [&where](const std::string& literal) {
+    const Result<Query> q = ParseQuery(where + "value > " + literal);
+    EXPECT_TRUE(q.ok()) << literal << ": " << q.status().ToString();
+    return q.ok() ? q.value().predicates[0].constant : 0;
+  };
+  EXPECT_EQ(constant("18446744073709551615"), ~uint64_t{0});
+  EXPECT_EQ(constant("9007199254740993"), uint64_t{9007199254740993});
+  EXPECT_EQ(constant("0"), 0u);
+  // Nothing exceeds 2^64 - 1: both engines select no unit.
+  const std::string none = where + "value > 18446744073709551615";
+  const Result<QueryResult> got = RunQuery(bsi_, none);
+  const Result<QueryResult> ref_got = RefRunQuery(ref_, none);
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(ref_got.ok());
+  EXPECT_EQ(got.value().row, std::vector<double>{0.0});
+  EXPECT_EQ(ref_got.value().row, std::vector<double>{0.0});
+  // The quantile argument is a double, converted the same way.
+  const Result<Query> q =
+      ParseQuery("SELECT quantile(value, 0.25) FROM metric(5, date = 0)");
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(q.value().aggregates[0].quantile_q, 0.25);
+}
+
+TEST_F(QueryErrorTest, MalformedOrOutOfRangeLiteralsArePositionedErrors) {
+  // Offset 55 is the literal after "... WHERE value > ".
+  const std::string where =
+      "SELECT count(*) FROM metric(5, date = 0) WHERE value > ";
+  ASSERT_EQ(where.size(), 55u);
+  ExpectError(where + "18446744073709551616",
+              "integer out of range (max 18446744073709551615) at offset 55");
+  const Result<QueryResult> huge = RunQuery(bsi_, where + "1" +
+                                                      std::string(400, '0'));
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(huge.status().message(),
+            "integer out of range (max 18446744073709551615) at offset 55");
+  ExpectError(where + "1.2.3", "expected non-negative integer at offset 55");
+  ExpectError(where + "1.5", "expected non-negative integer at offset 55");
+  // Dates and dimension ids are 32-bit: no silent truncation.
+  ExpectError("SELECT count(*) FROM metric(5, date = 4294967296)",
+              "integer out of range (max 4294967295) at offset 38");
+  ExpectError("SELECT count(*) FROM metric(5, date = 0) WHERE "
+              "dim(4294967297, date = 0) = 1",
+              "integer out of range (max 4294967295) at offset 51");
+  ExpectError("SELECT count(*) FROM dim(4294967303, date = 0)",
+              "integer out of range (max 4294967295) at offset 25");
+  ExpectError("SELECT quantile(value, 1.2.3) FROM metric(5, date = 0)",
+              "malformed number at offset 23");
+  ExpectError("SELECT quantile(value, 1" + std::string(400, '0') +
+                  ") FROM metric(5, date = 0)",
+              "number out of range at offset 23");
 }
 
 TEST_F(QueryErrorTest, MissingDataIsNotAnError) {

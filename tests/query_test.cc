@@ -44,8 +44,9 @@ TEST(TokenizeTest, OperatorsAndNumbers) {
   EXPECT_EQ(ts[4].type, TokenType::kLt);
   EXPECT_EQ(ts[5].type, TokenType::kGt);
   EXPECT_EQ(ts[6].type, TokenType::kEq);
-  EXPECT_DOUBLE_EQ(ts[7].number, 0.75);
-  EXPECT_DOUBLE_EQ(ts[8].number, 12);
+  EXPECT_EQ(ts[7].type, TokenType::kNumber);
+  EXPECT_EQ(ts[7].text, "0.75");
+  EXPECT_EQ(ts[8].text, "12");
 }
 
 TEST(TokenizeTest, DashedIdentifiers) {
@@ -83,7 +84,7 @@ TEST(ParseQueryTest, FullQuery) {
   EXPECT_EQ(query.predicates[0].kind, QueryPredicate::Kind::kExposed);
   EXPECT_EQ(query.predicates[0].strategy_id, 8764293u);
   EXPECT_EQ(query.predicates[1].kind, QueryPredicate::Kind::kValue);
-  EXPECT_EQ(query.predicates[1].op, CompareOp::kGt);
+  EXPECT_EQ(query.predicates[1].op, RangeOp::kGt);
   EXPECT_EQ(query.predicates[2].kind, QueryPredicate::Kind::kDimension);
   EXPECT_EQ(query.predicates[2].dimension_id, 1u);
   EXPECT_TRUE(query.group_by_bucket);
@@ -97,7 +98,7 @@ TEST(ParseQueryTest, ExposeSource) {
   EXPECT_EQ(q.value().source_id, 8746325u);
   ASSERT_EQ(q.value().predicates.size(), 2u);
   EXPECT_EQ(q.value().predicates[0].kind, QueryPredicate::Kind::kOffset);
-  EXPECT_EQ(q.value().predicates[0].op, CompareOp::kGe);
+  EXPECT_EQ(q.value().predicates[0].op, RangeOp::kGe);
 }
 
 TEST(ParseQueryTest, SyntaxErrors) {

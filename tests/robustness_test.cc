@@ -115,11 +115,15 @@ class QueryFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(QueryFuzzTest, RandomTokenSoupNeverCrashes) {
   Rng rng(GetParam());
+  const std::string huge_literal(400, '9');
   const char* pieces[] = {"select", "sum",    "(",     ")",      "value",
                           "from",   "metric", "where", "and",    ",",
                           "8371",   "date",   "=",     ">=",     "*",
                           "expose", "dim",    "group", "by",     "bucket",
-                          "0.5",    "<",      "<=",    "exposed", "offset"};
+                          "0.5",    "<",      "<=",    "exposed", "offset",
+                          // Literals above 2^64 - 1, beyond a double, malformed.
+                          "18446744073709551616", huge_literal.c_str(),
+                          "1.2.3"};
   for (int round = 0; round < 300; ++round) {
     std::string text;
     const int len = 1 + static_cast<int>(rng.NextBounded(20));

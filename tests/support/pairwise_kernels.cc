@@ -11,7 +11,6 @@ namespace pairwise {
 namespace {
 
 using bsi_compare::CmpOp;
-using bsi_compare::RangeOp;
 
 // Slice i of x, or an empty bitmap above x's top slice.
 const RoaringBitmap& SliceOrEmpty(const Bsi& x, int i) {

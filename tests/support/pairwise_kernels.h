@@ -30,7 +30,7 @@ RoaringBitmap DistinctPos(const std::vector<const Bsi*>& inputs);
 // Two-BSI comparisons (Algorithm 1 for kLt, 2 for kEq, 3 for kNe) and the
 // constant-side range searches, with bsi_compare's operand semantics.
 RoaringBitmap Compare(const Bsi& x, const Bsi& y, bsi_compare::CmpOp op);
-RoaringBitmap Range(const Bsi& x, bsi_compare::RangeOp op, uint64_t k);
+RoaringBitmap Range(const Bsi& x, RangeOp op, uint64_t k);
 // Two full single-bound scans plus an AND (lo <= hi).
 RoaringBitmap RangeBetween(const Bsi& x, uint64_t lo, uint64_t hi);
 
