@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <deque>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <set>
@@ -13,6 +15,7 @@
 
 #include "common/check.h"
 #include "common/fault_injector.h"
+#include "common/threadpool.h"
 #include "common/timer.h"
 #include "net/socket.h"
 #include "net/transport.h"
@@ -61,8 +64,8 @@ struct RpcAttempt {
 struct NodeTask {
   std::vector<RpcAttempt> attempts;
   // Hedge plan precomputed by the main thread under deterministic state:
-  // (segment, next untried alive replica) for every segment that has one.
-  std::vector<std::pair<uint32_t, int>> hedge_plan;
+  // hedge node -> the segments whose next untried alive replica it is.
+  std::map<int, std::vector<uint32_t>> hedge_plan;
 };
 
 // Records a completed attempt's node_rpc span under the current (wave)
@@ -143,21 +146,30 @@ class NodeLink {
   // Adds per-node flight-recorder slices for the nodes a query touched.
   virtual void AppendNodeSlices(const std::vector<int>& /*involved_nodes*/,
                                 obs::PostmortemBundle* /*bundle*/) {}
+  // True when a lost=1 answer for `segment` holds on every replica, so the
+  // wave loop records the loss at once instead of failing it over.
+  virtual bool LossIsFinal(uint32_t /*segment*/) const { return false; }
 };
 
 namespace {
 
-// TCP link: one thread per task against NodeServers on 127.0.0.1.
+// TCP link to NodeServers on 127.0.0.1 (DESIGN.md §9.2): the calling thread
+// runs a wave's first task and a ThreadPool the rest, each RPC over a
+// socket checked out of the per-node ConnectionPool.
 class TcpLink final : public NodeLink {
  public:
-  explicit TcpLink(const CoordinatorOptions& options) : options_(options) {
-    endpoints_.reserve(options_.node_ports.size());
-    hedge_endpoints_.reserve(options_.node_ports.size());
-    for (size_t n = 0; n < options_.node_ports.size(); ++n) {
-      endpoints_.push_back(std::make_unique<FaultyEndpoint>(
-          kNetClientEndpointBase + static_cast<uint64_t>(n)));
-      hedge_endpoints_.push_back(std::make_unique<FaultyEndpoint>(
-          kNetHedgeEndpointBase + static_cast<uint64_t>(n)));
+  explicit TcpLink(const CoordinatorOptions& options)
+      : options_(options),
+        connections_(options.node_ports,
+                     static_cast<size_t>(
+                         std::max(0, options.max_concurrent_queries))),
+        // A caller runs one task of its wave itself, so (num_nodes - 1)
+        // workers per admitted query: no task waits on another wave's.
+        workers_(std::max(1, (static_cast<int>(options.node_ports.size()) -
+                              1) * options.max_concurrent_queries)) {
+    for (uint64_t n = 0; n < options_.node_ports.size(); ++n) {
+      endpoints_.emplace_back(kNetClientEndpointBase + n);
+      hedge_endpoints_.emplace_back(kNetHedgeEndpointBase + n);
     }
   }
 
@@ -172,11 +184,13 @@ class TcpLink final : public NodeLink {
 
  private:
   const CoordinatorOptions options_;
+  ConnectionPool connections_;  // at most max_concurrent_queries idle/node
+  ThreadPool workers_;
   // One send endpoint per node link, so coordinator-side net.send indices
   // are stable per node regardless of query interleaving; hedge sends get
   // their own endpoints so hedging never shifts primary schedules.
-  std::vector<std::unique_ptr<FaultyEndpoint>> endpoints_;
-  std::vector<std::unique_ptr<FaultyEndpoint>> hedge_endpoints_;
+  std::deque<FaultyEndpoint> endpoints_;
+  std::deque<FaultyEndpoint> hedge_endpoints_;
   // Per-node flight-recorder cursors used by postmortem pulls, so each
   // bundle ships only events unseen by previous bundles. Guarded by pm_mu_
   // (concurrent queries may trigger postmortems concurrently).
@@ -191,15 +205,19 @@ void TcpLink::RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) {
   static obs::Counter& hedged_rpcs = obs::GetCounter("coordinator.hedged_rpcs");
   static obs::Counter& hedge_wins = obs::GetCounter("coordinator.hedge_wins");
 
-  auto build_request = [&](const std::vector<uint32_t>& segments,
-                           uint64_t request_id) {
+  // Checks out a socket to a's node and sends a's request on it.
+  auto send = [&](const RpcAttempt& a,
+                  FaultyEndpoint* endpoint) -> Result<Socket> {
     wire::Envelope env;
     env.type = wire::MsgType::kQueryRequest;
-    env.request_id = request_id;
+    env.request_id = a.request_id;
     wire::WireQueryRequest req = wave.request;
-    req.segments = segments;
+    req.segments = a.segments;
     wire::EncodeQueryRequest(req, &env.payload);
-    return env;
+    Result<Socket> sock = connections_.Checkout(a.node, deadline);
+    if (!sock.ok()) return sock;
+    RETURN_IF_ERROR(SendEnvelope(sock.value(), env, deadline, endpoint));
+    return sock;
   };
 
   // Gathers and classifies one reply. A response must answer exactly the
@@ -246,9 +264,9 @@ void TcpLink::RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) {
 
   // One scatter task: the primary RPC for one node's wave segments, plus
   // (when enabled and the primary is slow) hedge RPCs to each segment's
-  // next replica. Runs in its own thread; touches no trace or routing
-  // state -- all accounting happens post-join on the coordinator's thread,
-  // in deterministic task order.
+  // next replica. Runs on a pool worker or the calling thread; touches no
+  // trace or routing state -- all accounting happens post-join on the
+  // coordinator's thread, in deterministic task order.
   auto run_task = [&](NodeTask& task) {
     // Appending hedge attempts must never reallocate `attempts` -- `primary`
     // stays bound to [0] -- so reserve the worst case (one hedge RPC per
@@ -265,23 +283,22 @@ void TcpLink::RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) {
       a.latency_seconds = rpc_wall.ElapsedSeconds();
       a.completed = true;
     };
-    Result<Socket> sock =
-        Connect(options_.node_ports[primary.node], deadline);
+    // Reads a's reply; only a complete reply with a's request_id (response
+    // or kError) leaves the socket clean for the pool. Every other socket,
+    // stragglers that hedges beat included, is dropped (closed).
+    auto gather = [&](RpcAttempt& a, Socket& sock) {
+      finish(a, recv_and_classify(sock, a.request_id, a.segments, &a.resp));
+      if (!a.outcome.ok() || a.outcome.value() != RpcOutcome::kNodeDead) {
+        connections_.Return(a.node, std::move(sock));
+      }
+    };
+    Result<Socket> sock = send(primary, &endpoints_[primary.node]);
     if (!sock.ok()) {
       finish(primary, RpcOutcome::kNodeDead);
       return;
     }
-    if (!SendEnvelope(sock.value(),
-                      build_request(primary.segments, primary.request_id),
-                      deadline, endpoints_[primary.node].get())
-             .ok()) {
-      finish(primary, RpcOutcome::kNodeDead);
-      return;
-    }
     if (!options_.hedge_reads || task.hedge_plan.empty()) {
-      finish(primary,
-             recv_and_classify(sock.value(), primary.request_id,
-                               primary.segments, &primary.resp));
+      gather(primary, sock.value());
       return;
     }
 
@@ -294,28 +311,20 @@ void TcpLink::RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) {
         std::max(1, static_cast<int>(delay_s * 1000.0)),
         deadline.RemainingMs());
     Result<bool> readable = WaitReadable(sock.value(), delay_ms);
-    if (!readable.ok()) {
-      finish(primary, RpcOutcome::kNodeDead);
-      return;
-    }
-    if (readable.value()) {
-      finish(primary,
-             recv_and_classify(sock.value(), primary.request_id,
-                               primary.segments, &primary.resp));
+    if (!readable.ok() || readable.value()) {
+      gather(primary, sock.value());
       return;
     }
     hedged_rpcs.Add();
-    // Task threads have no thread-local trace installed, so the trace id is
+    // Pool workers have no thread-local trace installed, so the trace id is
     // stamped explicitly.
     obs::FlightRecorder::Global().RecordWithTraceId(
         obs::FlightEventKind::kHedgeFired,
         static_cast<uint64_t>(primary.node), 0, wave.flight_trace_id);
-    std::map<int, std::vector<uint32_t>> by_node;
-    for (const auto& [seg, hedge_node] : task.hedge_plan) {
-      by_node[hedge_node].push_back(seg);
-    }
-    for (auto& [hedge_node, hedge_segments] : by_node) {
-      RpcAttempt a;
+    std::vector<Socket> socks;  // index = attempt
+    socks.push_back(std::move(sock).value());
+    for (auto& [hedge_node, hedge_segments] : task.hedge_plan) {
+      RpcAttempt& a = task.attempts.emplace_back();
       a.node = hedge_node;
       a.segments = std::move(hedge_segments);
       a.is_hedge = true;
@@ -323,21 +332,9 @@ void TcpLink::RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) {
       // the reason hedging stays off in determinism suites.
       a.request_id =
           wave.next_request_id.fetch_add(1, std::memory_order_relaxed);
-      task.attempts.push_back(std::move(a));
-    }
-    std::vector<Socket> socks(task.attempts.size());
-    socks[0] = std::move(sock).value();
-    for (size_t i = 1; i < task.attempts.size(); ++i) {
-      RpcAttempt& a = task.attempts[i];
-      Result<Socket> hs = Connect(options_.node_ports[a.node], deadline);
-      if (!hs.ok() ||
-          !SendEnvelope(hs.value(), build_request(a.segments, a.request_id),
-                        deadline, hedge_endpoints_[a.node].get())
-               .ok()) {
-        finish(a, RpcOutcome::kNodeDead);
-        continue;
-      }
-      socks[i] = std::move(hs).value();
+      Result<Socket> hs = send(a, &hedge_endpoints_[a.node]);
+      if (!hs.ok()) finish(a, RpcOutcome::kNodeDead);
+      socks.push_back(hs.ok() ? std::move(hs).value() : Socket());
     }
     std::set<uint32_t> got;
     while (!deadline.expired()) {
@@ -347,13 +344,8 @@ void TcpLink::RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) {
         if (a.completed || !socks[i].valid()) continue;
         any_open = true;
         Result<bool> r = WaitReadable(socks[i], 20);
-        if (!r.ok()) {
-          finish(a, RpcOutcome::kNodeDead);
-          continue;
-        }
-        if (!r.value()) continue;
-        finish(a, recv_and_classify(socks[i], a.request_id, a.segments,
-                                    &a.resp));
+        if (r.ok() && !r.value()) continue;
+        gather(a, socks[i]);
         if (a.outcome.ok() && a.outcome.value() == RpcOutcome::kOk) {
           if (a.is_hedge) hedge_wins.Add();
           for (const wire::WireSegmentResult& seg : a.resp.segments) {
@@ -361,24 +353,25 @@ void TcpLink::RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) {
           }
         }
       }
-      if (!any_open) break;
-      bool complete = true;
-      for (uint32_t seg : primary.segments) {
-        if (got.count(seg) == 0) {
-          complete = false;
-          break;
-        }
+      if (!any_open ||
+          std::all_of(primary.segments.begin(), primary.segments.end(),
+                      [&got](uint32_t seg) { return got.count(seg) > 0; })) {
+        break;  // stragglers stay abandoned, never penalized
       }
-      if (complete) break;  // stragglers stay abandoned, never penalized
     }
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(tasks->size());
-  for (NodeTask& task : *tasks) {
-    threads.emplace_back([&run_task, &task] { run_task(task); });
+  // The wave's own latch, not ThreadPool::Wait(), which would also wait for
+  // the tasks of concurrent queries.
+  std::latch done(static_cast<std::ptrdiff_t>(tasks->size()) - 1);
+  for (size_t i = 1; i < tasks->size(); ++i) {
+    workers_.Submit([&run_task, &done, task = &(*tasks)[i]] {
+      run_task(*task);
+      done.count_down();
+    });
   }
-  for (std::thread& t : threads) t.join();
+  run_task(tasks->front());
+  done.wait();
 }
 
 void TcpLink::AppendNodeSlices(const std::vector<int>& involved_nodes,
@@ -431,6 +424,10 @@ class InProcessLink final : public NodeLink {
   const char* query_name() const override { return "adhoc_query_bsi"; }
   const char* self_slice_label() const override { return "local"; }
   void RunWave(const WaveQuery& wave, std::vector<NodeTask>* tasks) override;
+  // Every node reads the one warehouse, so a recovery loss is everywhere.
+  bool LossIsFinal(uint32_t segment) const override {
+    return lost_.count(static_cast<int>(segment)) > 0;
+  }
 
  private:
   const InProcessNodes nodes_;
@@ -467,11 +464,9 @@ void InProcessLink::RunWave(const WaveQuery& wave,
           return SegmentGate::kExecute;
         },
         &attempt.resp);
-    if (!status.ok()) {
-      attempt.outcome = status;
-    } else {
-      attempt.outcome = crashed ? RpcOutcome::kNodeDead : RpcOutcome::kOk;
-    }
+    attempt.outcome = !status.ok() ? Result<RpcOutcome>(status)
+                      : crashed        ? RpcOutcome::kNodeDead
+                                       : RpcOutcome::kOk;
     attempt.latency_seconds = rpc_wall.ElapsedSeconds();
     attempt.completed = true;
   }
@@ -646,7 +641,7 @@ Result<QueryStats> Coordinator::QueryBsiInternal(
         for (uint32_t seg : primary.segments) {
           for (int n : placement_.ReplicasOf(static_cast<int>(seg))) {
             if (n == node || !alive[n] || tried[seg][n]) continue;
-            task.hedge_plan.emplace_back(seg, n);
+            task.hedge_plan[n].push_back(seg);
             break;
           }
         }
@@ -687,8 +682,13 @@ Result<QueryStats> Coordinator::QueryBsiInternal(
               if (seg.lost != 0) {
                 // Node-side degradation: fail the segment over to its next
                 // replica instead of recording it lost -- DegradedInfo is
-                // reachable only once every replica had its chance.
+                // reachable only once every replica had its chance (which a
+                // final loss stands for).
                 tried[seg.segment][attempt.node] = true;
+                if (link_->LossIsFinal(seg.segment)) {
+                  tried[seg.segment].assign(num_nodes, true);
+                  continue;
+                }
                 failed_over[seg.segment] = true;
                 requeue_counter.Add();
                 obs::FlightRecorder::Global().Record(

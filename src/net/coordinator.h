@@ -22,12 +22,13 @@ namespace net {
 // shared rendezvous table (cluster/placement.h): each segment maps to
 // `replication_factor` distinct nodes in failover-preference order, and
 // every wave routes a segment to the healthiest alive replica it has not
-// tried yet. A node link then runs the wave's node tasks: the TCP link one
-// thread per task against NodeServers, the in-process link one task after
-// another on the calling thread (so per-site fault op counters replay
-// identically for a seed), each through ExecuteQueryRequest -- the function
-// a NodeServer runs per request. A fault-free scorecard is therefore
-// bit-identical across the links (only primaries run then).
+// tried yet. A node link then runs the wave's node tasks: the TCP link on
+// a coordinator-owned ThreadPool over pooled sockets to NodeServers, the
+// in-process link one task after another on the calling thread (so
+// per-site fault op counters replay identically for a seed), each through
+// ExecuteQueryRequest -- the function a NodeServer runs per request. A
+// fault-free scorecard is therefore bit-identical across the links (only
+// primaries run then).
 //
 // Failure taxonomy per node RPC:
 //   connect refused / EOF / truncated or corrupt frame  -> node dead for
@@ -69,7 +70,9 @@ struct CoordinatorOptions {
   int replication_factor = 2;
   double query_deadline_seconds = 10.0;
   // Admission control: queries beyond this many running concurrently are
-  // rejected Unavailable up front instead of queuing.
+  // rejected Unavailable up front instead of queuing. The TCP link also
+  // sizes from it: at most this many idle sockets per node, and
+  // (num_nodes - 1) x this many wave workers.
   int max_concurrent_queries = 8;
   bool allow_degraded = false;
   bool want_trace = true;  // graft node span trees into the query trace

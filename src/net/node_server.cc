@@ -93,10 +93,11 @@ void NodeServer::AcceptLoop() {
     ReapFinishedHandlers();
     Result<Socket> conn = Accept(listener_, /*deadline_ms=*/50);
     if (!conn.ok()) continue;  // timeout or transient; re-check stop flag
+    const uint64_t accept_index =
+        accepts_.fetch_add(1, std::memory_order_relaxed);
     if (fi != nullptr) {
       const uint64_t op =
-          static_cast<uint64_t>(options_.node_id) * kNetOpStride +
-          accepts_.fetch_add(1, std::memory_order_relaxed);
+          static_cast<uint64_t>(options_.node_id) * kNetOpStride + accept_index;
       const FaultDecision d = fi->EvaluateAt(fault_sites::kNetAccept, op);
       if (d.fail || d.crash) continue;  // connection dropped at accept
     }

@@ -24,10 +24,13 @@ namespace net {
 // runs -- so a remote scorecard is bit-identical to the in-process one.
 //
 // Concurrency model: one accept loop, one handler thread per connection,
-// requests on a connection served in order. `max_inflight` is the node's
-// backpressure valve: a query arriving while that many are already
-// executing is rejected with kError/kUnavailable instead of queuing without
-// bound -- the coordinator requeues the wave elsewhere.
+// requests on a connection served in order. Coordinators keep their
+// connections pooled, so that is a bounded set of long-lived handlers (at
+// most max_concurrent_queries idle ones per coordinator, plus the ones in
+// use). `max_inflight` is the node's backpressure valve: a query arriving
+// while that many are already executing is rejected with
+// kError/kUnavailable instead of queuing without bound -- the coordinator
+// requeues the wave elsewhere.
 struct NodeServerOptions {
   int node_id = 0;
   uint16_t port = 0;  // 0 = kernel-chosen ephemeral port (see port())
@@ -80,6 +83,11 @@ class NodeServer {
     return backpressure_rejections_.load(std::memory_order_relaxed);
   }
 
+  // Connections this server has accepted, including any an injected
+  // net.accept fault then dropped. Test accessor.
+  uint64_t connections_accepted() const {
+    return accepts_.load(std::memory_order_relaxed);
+  }
   // Connection-handler threads currently held (running, or finished and
   // not yet joined by the accept loop). Test accessor.
   size_t retained_handlers_for_testing() const {
@@ -128,7 +136,8 @@ class NodeServer {
   std::atomic<uint64_t> queries_served_{0};
   std::atomic<uint64_t> backpressure_rejections_{0};
   // Explicit fault op counters (net.accept / net.node_crash / net.repair),
-  // kept apart from the transport's send counter.
+  // kept apart from the transport's send counter. accepts_ counts every
+  // accepted connection, injector or not (connections_accepted()).
   std::atomic<uint64_t> accepts_{0};
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> repairs_{0};

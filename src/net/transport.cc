@@ -3,6 +3,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/fault_injector.h"
 #include "obs/metrics.h"
@@ -96,6 +97,38 @@ Result<wire::Envelope> RecvEnvelope(Socket& sock, const Deadline& deadline,
     }
     return env;
   }
+}
+
+ConnectionPool::ConnectionPool(std::vector<uint16_t> ports,
+                               size_t max_idle_per_node)
+    : ports_(std::move(ports)),
+      max_idle_(max_idle_per_node),
+      idle_(ports_.size()) {}
+
+Result<Socket> ConnectionPool::Checkout(int node, const Deadline& deadline) {
+  while (true) {
+    Socket sock;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      std::vector<Socket>& idle = idle_[static_cast<size_t>(node)];
+      if (idle.empty()) break;
+      sock = std::move(idle.back());
+      idle.pop_back();
+    }
+    Result<bool> readable = WaitReadable(sock, /*timeout_ms=*/0);
+    if (readable.ok() && !readable.value()) return sock;
+    // Stale: `sock` closes here and the next idle one is tried.
+  }
+  static obs::Counter& connects = obs::GetCounter("net.connects");
+  Result<Socket> sock = Connect(ports_[static_cast<size_t>(node)], deadline);
+  if (sock.ok()) connects.Add();
+  return sock;
+}
+
+void ConnectionPool::Return(int node, Socket sock) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<Socket>& idle = idle_[static_cast<size_t>(node)];
+  if (idle.size() < max_idle_) idle.push_back(std::move(sock));
 }
 
 }  // namespace net

@@ -2,7 +2,10 @@
 #define EXPBSI_NET_TRANSPORT_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <mutex>
+#include <vector>
 
 #include "common/status.h"
 #include "net/socket.h"
@@ -61,6 +64,33 @@ inline constexpr uint32_t kMaxSkippedFrames = 64;
 // 0 to accept any id.
 Result<wire::Envelope> RecvEnvelope(Socket& sock, const Deadline& deadline,
                                     uint64_t expected_request_id);
+
+// Idle client connections to a fixed set of loopback nodes (DESIGN.md
+// §9.2), so a scatter reuses one socket per node instead of dialing per
+// RPC. Thread-safe; a socket is owned by exactly one exchange at a time.
+class ConnectionPool {
+ public:
+  // `ports[n]` is node n's port; at most `max_idle_per_node` idle sockets
+  // are kept per node, the rest are closed on Return.
+  ConnectionPool(std::vector<uint16_t> ports, size_t max_idle_per_node);
+
+  // An idle socket to `node` that is still quiet, else a new connection
+  // (counted in net.connects). An idle socket that polls readable holds an
+  // EOF from a stopped or restarted node, or a stray duplicate frame; it is
+  // closed here, before anything is sent on it, so it never costs the
+  // caller an RPC failure.
+  Result<Socket> Checkout(int node, const Deadline& deadline);
+  // Parks a socket whose last exchange was read to its end: a complete
+  // reply carrying the expected request_id. Any other socket must simply
+  // be dropped (closed), never returned.
+  void Return(int node, Socket sock);
+
+ private:
+  const std::vector<uint16_t> ports_;
+  const size_t max_idle_;
+  std::mutex mu_;
+  std::vector<std::vector<Socket>> idle_;  // index = node; LIFO
+};
 
 }  // namespace net
 }  // namespace expbsi

@@ -528,24 +528,35 @@ TEST_F(NetChaosTest, DroppedRequestRequeuesWithoutLoss) {
   ExpectMatchesBaselineExcept(result.value().results, {}, "dropped-request");
 }
 
-// A duplicated reply frame: the extra copy sits unread in the (per-RPC)
-// connection and must not confuse the gather -- the result is exactly the
-// fault-free one with no degradation recorded.
+// A duplicated reply frame: the extra copy lands in the pooled connection
+// after the reply was read and must not confuse the gather -- the result is
+// exactly the fault-free one with no degradation recorded. The next query
+// on the same coordinator is fault-free too: checkout finds the stray copy
+// (the idle socket is readable) and redials, or, had the copy not landed
+// yet, the gather skips it by request_id.
 TEST_F(NetChaosTest, DuplicatedReplyIsHarmless) {
   FaultInjector injector(/*seed=*/25);
   injector.ScheduleFault(fault_sites::kNetSend, 0, FaultKind::kDuplicate);
   std::unique_ptr<Fleet> fleet = StartFleet(/*allow_degraded=*/true);
   net::Coordinator coordinator(fleet->options);
   Result<AdhocCluster::QueryStats> result(Status::Unavailable("not run"));
+  Result<AdhocCluster::QueryStats> next(Status::Unavailable("not run"));
   {
     ScopedFaultInjection scoped(&injector);
     result = coordinator.QueryBsi(kStrategies, kMetrics, kLo, kHi);
+    next = coordinator.QueryBsi(kStrategies, kMetrics, kLo, kHi);
   }
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result.value().degraded.degraded());
   EXPECT_EQ(result.value().degraded.nodes_lost, 0);
   EXPECT_EQ(injector.stats().duplicates, 1u);
   ExpectMatchesBaselineExcept(result.value().results, {}, "duplicated-reply");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_FALSE(next.value().degraded.degraded());
+  EXPECT_EQ(next.value().degraded.nodes_lost, 0);
+  EXPECT_EQ(coordinator.health().consecutive_failures(0), 0);
+  ExpectMatchesBaselineExcept(next.value().results, {},
+                              "query after a duplicated reply");
 }
 
 // An accept-time drop: the TCP handshake lands (backlog) but the server

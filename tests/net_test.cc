@@ -5,13 +5,22 @@
 // and trace-span grafting across the process boundary. The adversarial
 // paths (drops, truncations, duplicated replies, node kills, deadline
 // expiry) live in net_chaos_test.cc; the real-process differential sweep
-// in net_process_test.cc.
+// in net_process_test.cc. NetPoolTest covers the coordinator's connection
+// pool: reuse, stale-socket replacement and the steady-state bounds.
+
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -22,6 +31,7 @@
 #include "cluster/placement.h"
 #include "common/byte_io.h"
 #include "common/crc32c.h"
+#include "common/fault_injector.h"
 #include "net/node_health.h"
 #include "engine/experiment_data.h"
 #include "engine/scorecard.h"
@@ -30,6 +40,7 @@
 #include "net/node_server.h"
 #include "net/socket.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "wire/envelope.h"
 #include "wire/messages.h"
@@ -536,25 +547,32 @@ TEST_F(NetServingTest, CoordinatorMatchesInProcessClusterAndEngine) {
 }
 
 // A long-lived node does not keep the handler thread of every connection
-// it has served: finished handlers are joined by the accept loop, so
-// sequential queries on fresh connections hold only a few at any time.
+// it has served: finished handlers are joined by the accept loop, so a
+// stream of short-lived connections holds only a few at any time.
+// Coordinators pool their connections (NetPoolTest); a client that dials
+// per request is the case this guards.
 TEST_F(NetServingTest, FinishedConnectionHandlersAreReaped) {
-  net::CoordinatorOptions options;
-  std::vector<std::unique_ptr<net::NodeServer>> nodes =
-      StartNodes(1, &options);
-  net::Coordinator coordinator(options);
-  constexpr int kQueries = 2000;
+  net::NodeServerOptions options;
+  net::NodeServer node(cold_, options);
+  ASSERT_TRUE(node.Start().ok());
+  constexpr uint64_t kConnections = 2000;
   size_t max_retained = 0;
-  for (int i = 0; i < kQueries; ++i) {
-    const Result<AdhocCluster::QueryStats> stats =
-        coordinator.QueryBsi({801}, {901}, 10, 10);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  for (uint64_t i = 1; i <= kConnections; ++i) {
+    const net::Deadline deadline = net::Deadline::After(5.0);
+    Result<net::Socket> sock = net::Connect(node.port(), deadline);
+    ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+    wire::Envelope ping;
+    ping.type = wire::MsgType::kPing;
+    ping.request_id = i;
+    ASSERT_TRUE(
+        net::SendEnvelope(sock.value(), ping, deadline, nullptr).ok());
+    ASSERT_TRUE(net::RecvEnvelope(sock.value(), deadline, i).ok());
     max_retained =
-        std::max(max_retained, nodes[0]->retained_handlers_for_testing());
+        std::max(max_retained, node.retained_handlers_for_testing());
   }
-  EXPECT_EQ(nodes[0]->queries_served(), static_cast<uint64_t>(kQueries));
+  EXPECT_EQ(node.connections_accepted(), kConnections);
   EXPECT_LT(max_retained, 10u);
-  nodes[0]->Stop();
+  node.Stop();
 }
 
 TEST_F(NetServingTest, RemoteSpansAreGraftedIntoTheQueryTrace) {
@@ -768,6 +786,222 @@ TEST_F(NetServingTest, SegmentFetchReturnsFingerprintedBlobsOrNotFound) {
   ASSERT_TRUE(err.ok());
   EXPECT_EQ(err.value().code, StatusCode::kNotFound);
   node.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Connection pool (DESIGN.md §9.2)
+// ---------------------------------------------------------------------------
+
+class NetPoolTest : public NetServingTest {
+ protected:
+  static uint64_t TotalAccepted(
+      const std::vector<std::unique_ptr<net::NodeServer>>& nodes) {
+    uint64_t total = 0;
+    for (const auto& node : nodes) total += node->connections_accepted();
+    return total;
+  }
+
+  static uint64_t Connects() {
+    return obs::GetCounter("net.connects").Value();  // 0 without metrics
+  }
+
+  static void ExpectSameResults(const AdhocCluster::QueryStats& got,
+                                const AdhocCluster::QueryStats& want) {
+    ASSERT_EQ(got.results.size(), want.results.size());
+    for (const auto& [pair, values] : want.results) {
+      EXPECT_EQ(got.results.at(pair).sums, values.sums);
+      EXPECT_EQ(got.results.at(pair).counts, values.counts);
+    }
+  }
+};
+
+// Entries in /proc/self/task: the process's live threads. A joined thread
+// can linger there for a moment, so this is the fewest over a short series
+// of reads.
+size_t ProcessThreadCount() {
+  size_t fewest = SIZE_MAX;
+  for (int i = 0; i < 20; ++i) {
+    size_t n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++n;
+    }
+    fewest = std::min(fewest, n);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return fewest;
+}
+
+// Resident set size in bytes (second field of /proc/self/statm, in pages).
+size_t ProcessRssBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t total_pages = 0, resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST_F(NetPoolTest, SequentialQueriesReuseOneConnectionPerNode) {
+  net::CoordinatorOptions options;
+  std::vector<std::unique_ptr<net::NodeServer>> nodes =
+      StartNodes(3, &options);
+  net::Coordinator coordinator(options);
+  const uint64_t connects_before = Connects();
+  Result<AdhocCluster::QueryStats> first =
+      coordinator.QueryBsi({801, 802}, {901}, 10, 12);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  for (int i = 1; i < 200; ++i) {
+    Result<AdhocCluster::QueryStats> stats =
+        coordinator.QueryBsi({801, 802}, {901}, 10, 12);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ExpectSameResults(stats.value(), first.value());
+  }
+  EXPECT_LE(TotalAccepted(nodes), nodes.size());
+  EXPECT_LE(Connects() - connects_before, nodes.size());
+  for (auto& node : nodes) node->Stop();
+}
+
+// A node stopped and restarted on the same port leaves an EOF in the
+// coordinator's idle socket. Checkout notices and redials, so the next
+// query neither loses the node nor counts a failure against it.
+TEST_F(NetPoolTest, RestartedNodeOnSamePortCostsNoMarkdown) {
+  net::CoordinatorOptions options;
+  std::vector<std::unique_ptr<net::NodeServer>> nodes =
+      StartNodes(3, &options);
+  net::Coordinator coordinator(options);
+  Result<AdhocCluster::QueryStats> before =
+      coordinator.QueryBsi({801, 802}, {901, 902}, 10, 14);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  nodes[0]->Stop();
+  net::NodeServerOptions restarted_options;
+  restarted_options.node_id = 0;
+  restarted_options.port = options.node_ports[0];
+  nodes[0] = std::make_unique<net::NodeServer>(cold_, restarted_options);
+  ASSERT_TRUE(nodes[0]->Start().ok());
+  ASSERT_EQ(nodes[0]->port(), options.node_ports[0]);
+
+  const uint64_t markdowns = coordinator.health().markdown_count();
+  Result<AdhocCluster::QueryStats> after =
+      coordinator.QueryBsi({801, 802}, {901, 902}, 10, 14);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_FALSE(after.value().degraded.degraded());
+  EXPECT_EQ(after.value().degraded.nodes_lost, 0);
+  EXPECT_EQ(coordinator.health().markdown_count(), markdowns);
+  EXPECT_EQ(coordinator.health().consecutive_failures(0), 0);
+  EXPECT_EQ(nodes[0]->connections_accepted(), 1u);
+  ExpectSameResults(after.value(), before.value());
+  for (auto& node : nodes) node->Stop();
+}
+
+// A socket whose exchange was cut short -- a hedged primary that its hedges
+// beat, or a reply that outlived the query deadline -- may still receive
+// that reply, so it is closed, never pooled: the next query dials anew.
+TEST_F(NetPoolTest, AbandonedSocketsAreNeverReused) {
+  {
+    FaultInjector injector(/*seed=*/31);
+    // Node 0's first reply (server endpoint 0, op 0) is held 1.2 s.
+    injector.SetDelayProbability(fault_sites::kNetSend, 0.0,
+                                 /*delay_seconds=*/1.2);
+    injector.ScheduleFault(fault_sites::kNetSend, 0, FaultKind::kDelay);
+    net::CoordinatorOptions options;
+    std::vector<std::unique_ptr<net::NodeServer>> nodes =
+        StartNodes(3, &options);
+    options.hedge_reads = true;
+    options.hedge_delay_seconds = 0.3;
+    net::Coordinator coordinator(options);
+    ScopedFaultInjection scoped(&injector);
+    Result<AdhocCluster::QueryStats> hedged =
+        coordinator.QueryBsi({801, 802}, {901}, 10, 14);
+    ASSERT_TRUE(hedged.ok()) << hedged.status().ToString();
+    EXPECT_FALSE(hedged.value().degraded.degraded());
+    EXPECT_EQ(injector.stats().delays, 1u);
+    ASSERT_EQ(nodes[0]->connections_accepted(), 1u);
+    Result<AdhocCluster::QueryStats> next =
+        coordinator.QueryBsi({801, 802}, {901}, 10, 14);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    EXPECT_FALSE(next.value().degraded.degraded());
+    EXPECT_EQ(nodes[0]->connections_accepted(), 2u)
+        << "the hedge-abandoned primary socket was reused";
+    ExpectSameResults(next.value(), hedged.value());
+    for (auto& node : nodes) node->Stop();
+  }
+  {
+    FaultInjector injector(/*seed=*/32);
+    injector.SetDelayProbability(fault_sites::kNetSend, 0.0,
+                                 /*delay_seconds=*/1.0);
+    injector.ScheduleFault(fault_sites::kNetSend, 0, FaultKind::kDelay);
+    net::CoordinatorOptions options;
+    std::vector<std::unique_ptr<net::NodeServer>> nodes =
+        StartNodes(3, &options);
+    options.allow_degraded = true;
+    options.query_deadline_seconds = 0.3;
+    net::Coordinator coordinator(options);
+    ScopedFaultInjection scoped(&injector);
+    Result<AdhocCluster::QueryStats> expired =
+        coordinator.QueryBsi({801, 802}, {901}, 10, 14);
+    ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+    EXPECT_FALSE(expired.value().degraded.lost_segments.empty());
+    ASSERT_EQ(nodes[0]->connections_accepted(), 1u);
+    Result<AdhocCluster::QueryStats> next =
+        coordinator.QueryBsi({801, 802}, {901}, 10, 14);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    EXPECT_FALSE(next.value().degraded.degraded())
+        << "the deadline-expired socket was reused";
+    EXPECT_EQ(next.value().degraded.nodes_lost, 0);
+    EXPECT_EQ(nodes[0]->connections_accepted(), 2u);
+    for (auto& node : nodes) node->Stop();
+  }
+}
+
+// The boundedness gate: 10,000 queries from two closed-loop clients through
+// one coordinator against one node. After a warm-up round the node holds
+// at most max_concurrent_queries handlers, and no round opens a connection
+// or leaves a thread or memory behind.
+TEST_F(NetPoolTest, TenThousandQueriesKeepThreadsAndMemoryFlat) {
+  constexpr int kClients = 2;
+  constexpr int kRounds = 5;
+  constexpr int kQueriesPerClientRound = 1000;
+  net::CoordinatorOptions options;
+  std::vector<std::unique_ptr<net::NodeServer>> nodes =
+      StartNodes(1, &options);
+  net::Coordinator coordinator(options);
+  std::atomic<int> failures{0};
+  std::atomic<size_t> max_handlers{0};
+  auto run_round = [&] {
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&] {
+        for (int i = 0; i < kQueriesPerClientRound; ++i) {
+          if (!coordinator.QueryBsi({801}, {901}, 10, 10).ok()) ++failures;
+          const size_t held = nodes[0]->retained_handlers_for_testing();
+          size_t seen = max_handlers.load();
+          while (held > seen &&
+                 !max_handlers.compare_exchange_weak(seen, held)) {
+          }
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+  };
+  run_round();  // warm-up: dials the pool's connections
+  const size_t threads = ProcessThreadCount();
+  const size_t rss = ProcessRssBytes();
+  const uint64_t accepted = nodes[0]->connections_accepted();
+  const uint64_t connects = Connects();
+  for (int round = 1; round < kRounds; ++round) {
+    run_round();
+    EXPECT_LE(ProcessThreadCount(), threads) << "round " << round;
+    EXPECT_LE(ProcessRssBytes(), rss + (16u << 20)) << "round " << round;
+    EXPECT_EQ(nodes[0]->connections_accepted(), accepted) << "round " << round;
+    EXPECT_EQ(Connects(), connects) << "round " << round;
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(nodes[0]->queries_served(),
+            static_cast<uint64_t>(kClients * kRounds * kQueriesPerClientRound));
+  EXPECT_LE(max_handlers.load(),
+            static_cast<size_t>(options.max_concurrent_queries));
+  nodes[0]->Stop();
 }
 
 }  // namespace

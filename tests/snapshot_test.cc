@@ -618,6 +618,13 @@ TEST_F(ClusterColdStartTest, LostSegmentsAreDegradedNeverSilent) {
   const auto got = Query(degraded);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.value().degraded.lost_segments, (std::vector<int>{2}));
+  // Every node reads the one recovered warehouse, so the first lost=1
+  // answer is final: one wave, not one per replica.
+  ASSERT_NE(got.value().trace, nullptr);
+  const auto root_attrs = got.value().trace->spans().at(0).attrs;
+  EXPECT_NE(std::find(root_attrs.begin(), root_attrs.end(),
+                      std::make_pair(std::string("waves"), uint64_t{1})),
+            root_attrs.end());
   for (const auto& [pair, values] : want.value().results) {
     const BucketValues& g = got.value().results.at(pair);
     ASSERT_EQ(g.sums.size(), values.sums.size());
